@@ -74,12 +74,12 @@ fn forest_sketch(n: usize, seed: u64) -> SpanningForestSketch {
 /// within a trial, and per-trial ratios stay meaningful. Returns
 /// `times[variant][trial]` in milliseconds.
 fn time_grid(trials: usize, variants: &mut [&mut (dyn FnMut() + '_)]) -> Vec<Vec<f64>> {
-    let mut times = vec![vec![0.0f64; trials]; variants.len()];
-    for trial in 0..trials {
-        for (v, f) in variants.iter_mut().enumerate() {
+    let mut times = vec![Vec::with_capacity(trials); variants.len()];
+    for _ in 0..trials {
+        for (series, f) in times.iter_mut().zip(variants.iter_mut()) {
             let t = Instant::now();
             f();
-            times[v][trial] = t.elapsed().as_secs_f64() * 1e3;
+            series.push(t.elapsed().as_secs_f64() * 1e3);
         }
     }
     times
@@ -181,11 +181,7 @@ pub fn measure(quick: bool) -> Measurement {
     for k in [2usize, 4] {
         let space = EdgeSpace::graph(skel_n).unwrap();
         let mut sk = KSkeletonSketch::new(space, k, &SeedTree::new(seed + k as u64), lean_forest());
-        let g = gnm(
-            skel_n,
-            5 * skel_n,
-            &mut StdRng::seed_from_u64(seed as u64 + 7),
-        );
+        let g = gnm(skel_n, 5 * skel_n, &mut StdRng::seed_from_u64(seed + 7));
         for (u, v) in g.edges() {
             sk.update(&HyperEdge::pair(u, v), 1);
         }
@@ -230,7 +226,7 @@ pub fn measure(quick: bool) -> Measurement {
     let cfg = VertexConnConfig::query(2, vc_n, 2.0, Profile::Practical);
     let space = EdgeSpace::graph(vc_n).unwrap();
     let mut vc = VertexConnSketch::new(space, cfg, &SeedTree::new(seed + 40));
-    let g = gnm(vc_n, 5 * vc_n, &mut StdRng::seed_from_u64(seed as u64 + 9));
+    let g = gnm(vc_n, 5 * vc_n, &mut StdRng::seed_from_u64(seed + 9));
     for (u, v) in g.edges() {
         vc.update(&HyperEdge::pair(u, v), 1);
     }

@@ -26,8 +26,8 @@
 //! poisons every repetition identically, so retrying is useless and the
 //! outcome is [`QueryOutcome::Invalid`].
 //!
-//! Sharded ingestion: the root crate's `parallel_ingest_boosted` stripes
-//! the `R` repetitions across worker threads (each repetition's sketch is
+//! Sharded ingestion: [`crate::ShardedIngestor`] stripes the `R`
+//! repetitions across worker threads (each repetition's sketch is
 //! independent, so no cross-thread merging is needed).
 
 use dgs_hypergraph::HyperEdge;

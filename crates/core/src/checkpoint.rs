@@ -202,51 +202,36 @@ recoverable_via_try_update!(
     LightRecoverySketch,
 );
 
-impl Recoverable for SpanningForestSketch {
-    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
-        self.try_update(&u.edge, u.op.delta())
-    }
+/// Sketches with a native batch kernel that validates the whole batch
+/// before touching any state (the forest, and the hybrid, which also
+/// validates before touching its buffer). A failed batch left no state
+/// behind, so the scalar loop can locate the offending index while
+/// preserving the applied-prefix contract.
+macro_rules! recoverable_via_batch_kernel {
+    ($($t:ty),* $(,)?) => {$(
+        impl Recoverable for $t {
+            fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+                self.try_update(&u.edge, u.op.delta())
+            }
 
-    fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
-        let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
-        if self.try_update_batch(&pairs).is_ok() {
-            return Ok(());
+            fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
+                let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
+                    .iter()
+                    .map(|u| (u.edge.clone(), u.op.delta()))
+                    .collect();
+                if self.try_update_batch(&pairs).is_ok() {
+                    return Ok(());
+                }
+                for (i, u) in batch.iter().enumerate() {
+                    self.apply_update(u).map_err(|e| (i, e))?;
+                }
+                Ok(())
+            }
         }
-        // The native kernel rejects an invalid batch atomically (no state
-        // touched), so the scalar loop can locate the offending index while
-        // preserving the applied-prefix contract above.
-        for (i, u) in batch.iter().enumerate() {
-            self.apply_update(u).map_err(|e| (i, e))?;
-        }
-        Ok(())
-    }
+    )*};
 }
 
-impl Recoverable for crate::HybridConnectivitySketch {
-    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
-        self.try_update(&u.edge, u.op.delta())
-    }
-
-    fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
-        let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
-        if self.try_update_batch(&pairs).is_ok() {
-            return Ok(());
-        }
-        // Like the forest: the hybrid validates the whole batch before
-        // touching the buffer or the sketch, so a failed batch left no
-        // state behind and the scalar loop can locate the offending index.
-        for (i, u) in batch.iter().enumerate() {
-            self.apply_update(u).map_err(|e| (i, e))?;
-        }
-        Ok(())
-    }
-}
+recoverable_via_batch_kernel!(SpanningForestSketch, crate::HybridConnectivitySketch);
 
 /// Why a particular snapshot file was rejected. Internal to the ladder —
 /// rejected snapshots are skipped and counted, not surfaced as errors
@@ -706,6 +691,68 @@ impl Default for CheckpointConfig {
     }
 }
 
+/// Logs one update ahead of any state it will touch: the one write path of
+/// both durable ingestors. An update the log's stream cannot hold (a
+/// vertex `>= n` or a rank above `max_rank`) is rejected as a
+/// non-retryable [`RecoveryError::Sketch`] before anything is written, so
+/// a malformed update can never poison replay.
+pub(crate) fn log_update(wal: &mut WalWriter, u: &Update) -> Result<(), RecoveryError> {
+    let e = &u.edge;
+    if e.cardinality() > wal.max_rank() || e.vertices().iter().any(|&v| v as usize >= wal.n()) {
+        return Err(RecoveryError::Sketch(SketchError::invalid(format!(
+            "edge {e:?} does not fit the log's {}-vertex, rank-{} stream",
+            wal.n(),
+            wal.max_rank()
+        ))));
+    }
+    wal.append(u)?;
+    Ok(())
+}
+
+/// Takes one snapshot round: syncs the log, then saves every
+/// `(shard, store, sketch)` target at the log's offset, so no snapshot
+/// claims an offset the log has not durably reached. A target's `shard`
+/// annotates its errors ([`RecoveryError::in_shard`]).
+pub(crate) fn snapshot_at_log_offset<'a, T: Codec + 'a>(
+    wal: &mut WalWriter,
+    targets: impl IntoIterator<Item = (Option<usize>, &'a CheckpointStore, &'a T)>,
+) -> Result<(), RecoveryError> {
+    wal.sync()?;
+    let offset = wal.offset();
+    for (shard, store, sketch) in targets {
+        store.save(sketch, offset).map_err(|e| match shard {
+            Some(i) => e.in_shard(i),
+            None => e,
+        })?;
+    }
+    Ok(())
+}
+
+/// Restores one snapshot store's sketch to exactly stream offset `cap`:
+/// drops the snapshots past `cap` (they describe a history the log is
+/// about to diverge from), runs the capped recovery ladder, and checks the
+/// offset it reached. Every resume and shard rebuild goes through here;
+/// the log must hold at least `cap` durable records.
+pub(crate) fn recover_to_cap<T, F>(
+    wal_dir: &Path,
+    store: &CheckpointStore,
+    cap: u64,
+    fresh: F,
+) -> Result<Recovered<T>, RecoveryError>
+where
+    T: Recoverable,
+    F: FnOnce(usize, usize) -> T,
+{
+    store.purge_after(cap)?;
+    let rec = RecoveryDriver::new(wal_dir, store.clone()).recover_capped(Some(cap), fresh)?;
+    if rec.offset != cap {
+        return Err(RecoveryError::NoState {
+            detail: format!("recovered to offset {} but the cap is {cap}", rec.offset),
+        });
+    }
+    Ok(rec)
+}
+
 /// A sketch wrapped with write-ahead durability: every update is logged
 /// before it touches the sketch, and a snapshot is taken every
 /// `snapshot_interval` updates.
@@ -741,9 +788,11 @@ impl<T: Recoverable> CheckpointedIngestor<T> {
         })
     }
 
-    /// Resumes durable ingestion after a crash: recovers the sketch via the
-    /// ladder, seals the WAL's torn tail, and continues appending. `fresh`
-    /// rebuilds the sketch for the full-replay fallback.
+    /// Resumes durable ingestion after a crash: seals the WAL's torn tail,
+    /// recovers the sketch to exactly the durable offset (the same
+    /// resume-to-cap routine that rebuilds supervised shards), and
+    /// continues appending. `fresh` rebuilds the
+    /// sketch for the full-replay fallback.
     pub fn resume<F>(
         wal_dir: impl Into<PathBuf>,
         snap_dir: impl Into<PathBuf>,
@@ -757,20 +806,9 @@ impl<T: Recoverable> CheckpointedIngestor<T> {
         T: Clone,
     {
         assert!(cfg.snapshot_interval >= 1, "snapshot interval must be >= 1");
-        let wal_dir = wal_dir.into();
         let store = CheckpointStore::open(snap_dir, cfg.snapshot_seed)?;
-        // Seal the log's torn tail first; recovery is then capped at the
-        // durable length so sketch and writer agree on the stream offset
-        // (a snapshot *ahead* of the log is only usable read-only).
-        let (wal, replay) = WalWriter::resume(&wal_dir, n, max_rank, cfg.wal)?;
-        let durable = replay.updates.len() as u64;
-        let driver = RecoveryDriver::new(&wal_dir, store.clone());
-        let recovered = driver.recover_capped(Some(durable), fresh)?;
-        debug_assert_eq!(recovered.offset, wal.offset());
-        // Snapshots past the sealed tail describe a history the resumed log
-        // is about to diverge from; drop them before the offset re-advances
-        // over their positions.
-        store.purge_after(durable)?;
+        let (wal, _) = WalWriter::resume(wal_dir, n, max_rank, cfg.wal)?;
+        let recovered = recover_to_cap(wal.dir(), &store, wal.offset(), fresh)?;
         let ingestor = CheckpointedIngestor {
             sketch: recovered.sketch.clone(),
             wal,
@@ -790,8 +828,10 @@ impl<T: Recoverable> CheckpointedIngestor<T> {
     }
 
     /// Logs then applies one update; snapshots when the interval elapses.
+    /// An update with a vertex `>= n` or a rank above `max_rank` is
+    /// rejected before it is logged.
     pub fn ingest(&mut self, u: &Update) -> Result<(), RecoveryError> {
-        self.wal.append(u)?;
+        log_update(&mut self.wal, u)?;
         self.sketch.apply_update(u).map_err(RecoveryError::Sketch)?;
         self.since_snapshot += 1;
         if self.since_snapshot >= self.interval {
@@ -803,8 +843,7 @@ impl<T: Recoverable> CheckpointedIngestor<T> {
     /// Forces a snapshot at the current offset (WAL synced first, so the
     /// snapshot never claims an offset the log has not durably reached).
     pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
-        self.wal.sync()?;
-        self.store.save(&self.sketch, self.wal.offset())?;
+        snapshot_at_log_offset(&mut self.wal, [(None, &self.store, &self.sketch)])?;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -1035,6 +1074,45 @@ mod tests {
             ing.sketch().try_component_count().unwrap(),
             reference.try_component_count().unwrap()
         );
+        fs::remove_dir_all(&wal_dir).unwrap();
+        fs::remove_dir_all(&snap_dir).unwrap();
+    }
+
+    /// Regression: a malformed update used to be logged before the sketch
+    /// rejected it, and every later resume failed replaying it.
+    #[test]
+    fn rejected_update_is_never_logged() {
+        let (wal_dir, snap_dir) = (tmpdir("reject-wal"), tmpdir("reject-snap"));
+        let updates = path_updates(12);
+        let cfg = CheckpointConfig {
+            snapshot_interval: 4,
+            ..CheckpointConfig::default()
+        };
+        let mut ing =
+            CheckpointedIngestor::create(&wal_dir, &snap_dir, 12, 2, cfg, forest(12)).unwrap();
+        ing.ingest(&updates[0]).unwrap();
+        let bad = Update::insert(HyperEdge::pair(0, 99));
+        let err = ing.ingest(&bad).unwrap_err();
+        assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        assert_eq!(ing.offset(), 1);
+        for u in &updates[1..] {
+            ing.ingest(u).unwrap();
+        }
+        let want = ing.into_sketch();
+        let (ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
+            &wal_dir,
+            &snap_dir,
+            12,
+            2,
+            cfg,
+            |_, _| forest(12),
+        )
+        .unwrap();
+        assert_eq!(rec.offset, 11);
+        let (mut got, mut expected) = (Writer::new(), Writer::new());
+        ing.sketch().encode(&mut got);
+        want.encode(&mut expected);
+        assert_eq!(got.into_bytes(), expected.into_bytes());
         fs::remove_dir_all(&wal_dir).unwrap();
         fs::remove_dir_all(&snap_dir).unwrap();
     }

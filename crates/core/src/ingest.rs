@@ -11,9 +11,10 @@
 //! [`ShardedIngestor`] packages the pattern for boosted-repetition
 //! ingestion: it buffers the stream into fixed-size batches and, at each
 //! flush, stripes the repetitions across the persistent sticky worker
-//! pool ([`dgs_pool::StickyPool`], cached per caller thread). The
-//! assignment is deterministic, seed-stable, and **sticky** — repetition
-//! `i` is always submitted to pool worker `i % stripes`, flush after
+//! pool with [`dgs_pool::run_striped`] — the same routine the supervised
+//! ingestor uses. The assignment is deterministic, seed-stable, and
+//! **sticky** — the repetitions are cut into `stripes` contiguous blocks
+//! and block `t` is always submitted to pool worker `t`, flush after
 //! flush, so each worker's repetitions stay hot in its cache; each
 //! repetition consumes every batch in stream order through the same
 //! batched kernel — so the final states are **bit-identical** to
@@ -22,6 +23,7 @@
 
 use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
+use dgs_pool::JobPanicked;
 use dgs_sketch::{SketchError, SketchResult};
 
 use crate::boost::{BoostableSketch, BoostedQuery};
@@ -63,23 +65,6 @@ impl BatchableSketch for crate::EdgeConnSketch {}
 impl BatchableSketch for crate::LightRecoverySketch {}
 impl BatchableSketch for crate::HypergraphSparsifier {}
 
-/// Buffers stream updates into fixed-size batches and ingests each batch
-/// into `R` boosted repetitions, striped across the persistent sticky
-/// worker pool.
-///
-/// Extends the repetition striping of the root crate's
-/// `parallel_ingest_boosted` to the *online* setting: updates arrive one at
-/// a time ([`push`](Self::push)), the ingestor flushes a batch whenever the
-/// buffer fills, and [`finish`](Self::finish) flushes the remainder and
-/// hands back a [`BoostedQuery`]. Because repetition assignment is
-/// deterministic (`i % stripes`) and every repetition sees every batch in
-/// stream order, the result is bit-identical to sequential ingestion.
-///
-/// Error handling: an invalid update is detected at the next flush. The
-/// forest sketch's native batch kernel rejects the whole batch atomically
-/// in every repetition, so the ingestor stays consistent; treat any flush
-/// error as fatal for the query (the stream itself is malformed —
-/// retrying cannot help).
 /// Metric handles for one ingestor; null (free) by default.
 #[derive(Debug, Default)]
 struct IngestMetrics {
@@ -109,19 +94,29 @@ impl IngestMetrics {
     }
 }
 
+/// Buffers stream updates into fixed-size batches and ingests each batch
+/// into `R` boosted repetitions, striped across the persistent sticky
+/// worker pool by [`dgs_pool::run_striped`].
+///
+/// Updates arrive one at a time ([`push`](Self::push)), the ingestor
+/// flushes a batch whenever the buffer fills, and
+/// [`finish`](Self::finish) flushes the remainder and hands back a
+/// [`BoostedQuery`]. Because stripe assignment is a pure function of the
+/// repetition index and every repetition sees every batch in stream order,
+/// the result is bit-identical to sequential ingestion.
+///
+/// Error handling: an invalid update is detected at the next flush. The
+/// forest sketch's native batch kernel rejects the whole batch atomically
+/// in every repetition, so the ingestor stays consistent; treat any flush
+/// error as fatal for the query (the stream itself is malformed —
+/// retrying cannot help).
 #[derive(Debug)]
 pub struct ShardedIngestor<S> {
-    /// Boosted repetitions in **stripe-major** physical order: stripe 0's
-    /// repetitions first (logical indices `0, stripes, 2·stripes, …`), then
-    /// stripe 1's, and so on. Keeping each stripe's partition contiguous
-    /// lets [`flush`](Self::flush) hand every pool worker a
-    /// `split_at_mut` slice — no per-flush partition `Vec`s — while
-    /// [`finish`](Self::finish) un-permutes back to logical (seed) order.
+    /// Boosted repetitions in logical (seed) order.
     repetitions: Vec<S>,
     /// Stripe (worker) count: `min(threads, repetitions)`, clamped **once**
     /// at construction. Metrics shard counters and flush fan-out both read
-    /// this field, so the two can never disagree (previously each site
-    /// re-derived the clamp independently).
+    /// this field, so the two can never disagree.
     stripes: usize,
     batch_size: usize,
     buffer: Vec<(HyperEdge, i64)>,
@@ -130,15 +125,9 @@ pub struct ShardedIngestor<S> {
     /// Kept to re-attach the striping pool's own metrics on every flush
     /// (idempotent after the first — see [`dgs_pool::StickyPool::set_sink`]).
     sink: MetricsSink,
-    /// Per-stripe flush results, kept across flush cycles (like
+    /// Per-repetition flush results, kept across flush cycles (like
     /// `DecodeScratch`) so steady-state flushes allocate nothing.
-    results: Vec<SketchResult<()>>,
-}
-
-/// Logical (seed-order) indices in stripe-major order: stripe `t` owns
-/// logical repetitions `t, t + stripes, t + 2·stripes, …`.
-fn stripe_major_order(n: usize, stripes: usize) -> impl Iterator<Item = usize> {
-    (0..stripes).flat_map(move |t| (t..n).step_by(stripes))
+    results: Vec<Result<SketchResult<()>, JobPanicked>>,
 }
 
 impl<S: BatchableSketch> ShardedIngestor<S> {
@@ -153,23 +142,15 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         assert!(!repetitions.is_empty(), "need at least one repetition");
         assert!(threads >= 1, "need at least one thread");
         assert!(batch_size >= 1, "need a positive batch size");
-        let stripes = threads.min(repetitions.len());
-        let n = repetitions.len();
-        // Permute into stripe-major physical order (see the field docs);
-        // identity when stripes == 1.
-        let mut slots: Vec<Option<S>> = repetitions.into_iter().map(Some).collect();
-        let mut reordered: Vec<S> = Vec::with_capacity(n);
-        reordered.extend(stripe_major_order(n, stripes).filter_map(|i| slots[i].take()));
-        debug_assert_eq!(reordered.len(), n);
         ShardedIngestor {
-            repetitions: reordered,
-            stripes,
+            stripes: threads.min(repetitions.len()),
+            results: Vec::with_capacity(repetitions.len()),
+            repetitions,
             batch_size,
             buffer: Vec::with_capacity(batch_size),
             ingested: 0,
             metrics: IngestMetrics::default(),
             sink: MetricsSink::null(),
-            results: Vec::with_capacity(stripes),
         }
     }
 
@@ -212,8 +193,8 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
     }
 
     /// Ingest stripe count: `min(threads, repetitions)`, fixed at
-    /// construction. Stripe `t` owns repetitions `i ≡ t (mod stripes)` and
-    /// is always submitted to pool worker `t`.
+    /// construction. Stripe `t` owns the `t`-th contiguous block of
+    /// repetitions and is always submitted to pool worker `t`.
     pub fn stripes(&self) -> usize {
         self.stripes
     }
@@ -241,102 +222,58 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         Ok(())
     }
 
-    /// Applies the buffered batch to every repetition, striping repetitions
-    /// round-robin (`i % stripes`) across the persistent sticky worker
-    /// pool: stripe `t` is submitted to pool worker `t` on every flush, so
-    /// a worker re-touches the same repetitions' state batch after batch.
+    /// Applies the buffered batch to every repetition through
+    /// [`dgs_pool::run_striped`]: stripe `t` is submitted to pool worker `t`
+    /// on every flush, so a worker re-touches the same repetitions' state
+    /// batch after batch.
     ///
     /// A panic inside a repetition's batch kernel is caught on the worker
-    /// and surfaced as a non-retryable [`SketchError`], never a panic —
-    /// matching the pre-pool scoped-thread behavior.
+    /// and surfaced as a typed [`SketchError`], never a panic.
     pub fn flush(&mut self) -> SketchResult<()> {
         if self.buffer.is_empty() {
             return Ok(());
         }
         let timer = self.metrics.flush_ns.start_timer();
-        let mut batch = std::mem::take(&mut self.buffer);
-        let stripes = self.stripes;
-        let n = self.repetitions.len();
-        if stripes <= 1 {
-            for s in &mut self.repetitions {
-                s.try_apply_batch(&batch)?;
-            }
-            if let Some(c) = self.metrics.shard_updates.first() {
-                c.add(batch.len() as u64 * n as u64);
-            }
-        } else {
-            // The repetitions already sit in stripe-major order, so the
-            // partition is `stripes` contiguous `split_at_mut` slices —
-            // nothing is allocated here in steady state (the results
-            // scratch keeps its capacity across flush cycles).
-            self.results.clear();
-            self.results.extend((0..stripes).map(|_| Ok(())));
-            let metrics = &self.metrics;
-            let mut rest: &mut [S] = &mut self.repetitions;
-            dgs_pool::with_local_pool(stripes, |pool| {
-                pool.set_sink(&self.sink);
-                pool.scope(|scope| {
-                    for (t, result) in self.results.iter_mut().enumerate() {
-                        let len = n / stripes + usize::from(t < n % stripes);
-                        let (stripe, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                        rest = tail;
-                        let batch = &batch;
-                        let shard_counter = metrics.shard_updates.get(t).cloned();
-                        scope.spawn(t, move || {
-                            // Catch panics on the worker so a poisoned
-                            // repetition yields an error at the barrier
-                            // instead of tripping the pool's panic flag.
-                            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || -> SketchResult<()> {
-                                    let applied = batch.len() as u64 * stripe.len() as u64;
-                                    for s in stripe.iter_mut() {
-                                        s.try_apply_batch(batch)?;
-                                    }
-                                    if let Some(c) = shard_counter {
-                                        c.add(applied);
-                                    }
-                                    Ok(())
-                                },
-                            ));
-                            *result = run.unwrap_or_else(|_| {
-                                Err(SketchError::failure(
-                                    "sharded-ingest",
-                                    "ingest worker panicked",
-                                ))
-                            });
-                        });
-                    }
-                });
-            });
-            for r in self.results.iter_mut() {
-                std::mem::replace(r, Ok(()))?;
-            }
-        }
-        self.ingested += batch.len() as u64;
-        self.metrics.updates.add(batch.len() as u64);
+        let batch = &self.buffer;
+        let shard_updates = &self.metrics.shard_updates;
+        dgs_pool::run_striped(
+            &mut self.repetitions,
+            self.stripes,
+            &self.sink,
+            &mut self.results,
+            |t, s| {
+                s.try_apply_batch(batch)?;
+                if let Some(c) = shard_updates.get(t) {
+                    c.add(batch.len() as u64);
+                }
+                Ok(())
+            },
+        );
+        let outcome = self.results.drain(..).try_for_each(|r| {
+            r.unwrap_or_else(|JobPanicked| {
+                Err(SketchError::failure(
+                    "sharded-ingest",
+                    "ingest worker panicked",
+                ))
+            })
+        });
+        let applied = self.buffer.len() as u64;
+        // The batch leaves the buffer even when it failed; clearing keeps
+        // the buffer's capacity for the next fill.
+        self.buffer.clear();
+        outcome?;
+        self.ingested += applied;
+        self.metrics.updates.add(applied);
         self.metrics.queue_depth.set(0);
         timer.observe();
-        // Hand the drained batch Vec back to the buffer: its capacity is
-        // reused by the next fill instead of being reallocated every flush.
-        batch.clear();
-        self.buffer = batch;
         Ok(())
     }
 
     /// Flushes the remaining buffer and returns the repetitions wrapped in
-    /// a [`BoostedQuery`], un-permuted back to logical (seed) order.
+    /// a [`BoostedQuery`].
     pub fn finish(mut self) -> SketchResult<BoostedQuery<S>> {
         self.flush()?;
-        let n = self.repetitions.len();
-        let stripes = self.stripes;
-        let mut slots: Vec<Option<S>> = (0..n).map(|_| None).collect();
-        let mut physical = self.repetitions.into_iter();
-        for i in stripe_major_order(n, stripes) {
-            slots[i] = physical.next();
-        }
-        let logical: Vec<S> = slots.into_iter().flatten().collect();
-        debug_assert_eq!(logical.len(), n);
-        Ok(BoostedQuery::from_repetitions(logical))
+        Ok(BoostedQuery::from_repetitions(self.repetitions))
     }
 }
 

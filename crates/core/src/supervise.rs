@@ -19,7 +19,7 @@
 //!   the healthy shards keep ingesting and answering.
 //! * **Background rebuild** — the shared WAL records every update before
 //!   any shard sees it, so a quarantined shard is rebuilt *exactly*: newest
-//!   valid snapshot plus WAL-tail replay via [`RecoveryDriver`], capped at
+//!   valid snapshot plus WAL-tail replay via [`crate::RecoveryDriver`], capped at
 //!   the ensemble's current durable offset. Linearity makes the rebuilt
 //!   shard bit-identical to one that never faulted.
 //! * **Scrub audits** — a silently diverged shard (valid-looking bytes, no
@@ -48,11 +48,13 @@ use dgs_hypergraph::fault::{Backoff, BackoffConfig};
 use dgs_hypergraph::wal::WalWriter;
 use dgs_hypergraph::{Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
+use dgs_pool::JobPanicked;
 use dgs_sketch::{SketchError, SketchResult};
 
 use crate::boost::{BoostableSketch, BoostedQuery};
 use crate::checkpoint::{
-    CheckpointConfig, CheckpointStore, Recoverable, RecoveryDriver, RecoveryError,
+    log_update, recover_to_cap, snapshot_at_log_offset, CheckpointConfig, CheckpointStore,
+    Recoverable, RecoveryError,
 };
 
 /// Health of one shard (boosted repetition) of a supervised ensemble.
@@ -104,8 +106,9 @@ impl std::fmt::Display for ShardState {
 pub struct SupervisorConfig {
     /// Boosted repetitions (= shards) in the ensemble.
     pub repetitions: usize,
-    /// Worker threads for the striped flush (shard `i` → stripe
-    /// `i % threads`, exactly like [`crate::ingest::ShardedIngestor`]).
+    /// Worker threads for the striped flush: the live shards are cut into
+    /// contiguous blocks by [`dgs_pool::run_striped`], the same routine
+    /// [`crate::ingest::ShardedIngestor`] uses.
     pub threads: usize,
     /// Updates buffered between flushes.
     pub batch_size: usize,
@@ -687,11 +690,13 @@ type ShardBuilder<S> = dyn Fn(usize) -> S + Send + Sync;
 /// docs for the full protocol.
 pub struct SupervisedIngestor<S: Recoverable> {
     cfg: SupervisorConfig,
-    wal_dir: PathBuf,
     wal: WalWriter,
     shards: Vec<Shard<S>>,
     build: Box<ShardBuilder<S>>,
     buffer: Vec<Update>,
+    /// Per-shard flush outcomes, kept across flushes so steady-state
+    /// flushes allocate nothing (`None` marks a shard that is not live).
+    outcomes: Vec<Result<Option<ApplyOutcome>, JobPanicked>>,
     since_snapshot: u64,
     since_scrub: u64,
     scrub_cursor: usize,
@@ -723,36 +728,15 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
         Self::validate(&cfg);
-        let wal_dir = wal_dir.into();
-        let wal = WalWriter::create(&wal_dir, n, max_rank, cfg.checkpoint.wal)?;
-        let snap_root = snap_root.into();
-        let mut shards = Vec::with_capacity(cfg.repetitions);
-        for i in 0..cfg.repetitions {
-            shards.push(Self::fresh_shard(&snap_root, &cfg, i, build(i))?);
-        }
-        Ok(SupervisedIngestor {
-            cfg,
-            wal_dir,
-            wal,
-            shards,
-            build: Box::new(build),
-            buffer: Vec::with_capacity(cfg.batch_size),
-            since_snapshot: 0,
-            since_scrub: 0,
-            scrub_cursor: 0,
-            ingested: 0,
-            metrics: SupMetrics::default(),
-            sink: MetricsSink::null(),
-            tracer: None,
-            flight: None,
-        })
+        let wal = WalWriter::create(wal_dir, n, max_rank, cfg.checkpoint.wal)?;
+        Self::open(wal, &snap_root.into(), cfg, build, false)
     }
 
     /// Resumes supervised ingestion after a crash: seals the WAL's torn
-    /// tail, purges snapshots past the durable offset (they describe a
-    /// history the resumed log is about to diverge from), and rebuilds
-    /// every shard to exactly the durable offset. Returns the ingestor and
-    /// that offset.
+    /// tail, then restores every shard to exactly the durable offset with
+    /// the shared resume-to-cap routine (which first purges snapshots past
+    /// that offset — they describe a history the resumed log is about to
+    /// diverge from). Returns the ingestor and that offset.
     pub fn resume<F>(
         wal_dir: impl Into<PathBuf>,
         snap_root: impl Into<PathBuf>,
@@ -765,52 +749,68 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
         Self::validate(&cfg);
-        let wal_dir = wal_dir.into();
-        let snap_root = snap_root.into();
-        let (wal, replay) = WalWriter::resume(&wal_dir, n, max_rank, cfg.checkpoint.wal)?;
-        let durable = replay.updates.len() as u64;
+        let (wal, _) = WalWriter::resume(wal_dir, n, max_rank, cfg.checkpoint.wal)?;
+        let ingestor = Self::open(wal, &snap_root.into(), cfg, build, true)?;
+        let durable = ingestor.ingested;
+        Ok((ingestor, durable))
+    }
+
+    /// Opens every shard's snapshot store and assembles the ingestor at the
+    /// log's offset. With `recover`, each shard is restored to that offset
+    /// by [`recover_to_cap`]; otherwise it starts fresh from `build`.
+    fn open<F>(
+        wal: WalWriter,
+        snap_root: &Path,
+        cfg: SupervisorConfig,
+        build: F,
+        recover: bool,
+    ) -> Result<SupervisedIngestor<S>, RecoveryError>
+    where
+        F: Fn(usize) -> S + Send + Sync + 'static,
+    {
+        let offset = wal.offset();
         let mut shards = Vec::with_capacity(cfg.repetitions);
         for i in 0..cfg.repetitions {
-            let mut shard = Self::fresh_shard(&snap_root, &cfg, i, build(i))?;
-            shard
-                .store
-                .purge_after(durable)
-                .map_err(|e| e.in_shard(i))?;
-            if durable > 0 {
-                let driver = RecoveryDriver::new(&wal_dir, shard.store.clone());
-                let rec = driver
-                    .recover_capped(Some(durable), |_, _| build(i))
-                    .map_err(|e| e.in_shard(i))?;
-                if rec.offset != durable {
-                    return Err(RecoveryError::NoState {
-                        detail: format!(
-                            "recovered to offset {} but the durable log holds {durable}",
-                            rec.offset
-                        ),
-                    }
-                    .in_shard(i));
-                }
-                shard.sketch = Arc::new(rec.sketch);
-            }
-            shards.push(shard);
+            let store = CheckpointStore::open(
+                snap_root.join(format!("shard-{i:03}")),
+                shard_seed(cfg.checkpoint.snapshot_seed, i),
+            )
+            .map_err(|e| e.in_shard(i))?;
+            let sketch = if recover {
+                recover_to_cap(wal.dir(), &store, offset, |_, _| build(i))
+                    .map_err(|e| e.in_shard(i))?
+                    .sketch
+            } else {
+                build(i)
+            };
+            shards.push(Shard {
+                sketch: Arc::new(sketch),
+                health: ShardState::Healthy,
+                store,
+                backoff: Backoff::new(cfg.backoff, shard_seed(cfg.seed, i)),
+                fault: None,
+                suspect_streak: 0,
+                quarantined_flushes: 0,
+                decode_incidents: 0,
+                last_error: None,
+            });
         }
-        let ingestor = SupervisedIngestor {
+        Ok(SupervisedIngestor {
             cfg,
-            wal_dir,
             wal,
+            outcomes: Vec::with_capacity(shards.len()),
             shards,
             build: Box::new(build),
             buffer: Vec::with_capacity(cfg.batch_size),
             since_snapshot: 0,
             since_scrub: 0,
             scrub_cursor: 0,
-            ingested: durable,
+            ingested: offset,
             metrics: SupMetrics::default(),
             sink: MetricsSink::null(),
             tracer: None,
             flight: None,
-        };
-        Ok((ingestor, durable))
+        })
     }
 
     fn validate(cfg: &SupervisorConfig) {
@@ -826,30 +826,6 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
             cfg.checkpoint.snapshot_interval >= 1,
             "snapshot interval must be >= 1"
         );
-    }
-
-    fn fresh_shard(
-        snap_root: &Path,
-        cfg: &SupervisorConfig,
-        i: usize,
-        sketch: S,
-    ) -> Result<Shard<S>, RecoveryError> {
-        let store = CheckpointStore::open(
-            snap_root.join(format!("shard-{i:03}")),
-            shard_seed(cfg.checkpoint.snapshot_seed, i),
-        )
-        .map_err(|e| e.in_shard(i))?;
-        Ok(Shard {
-            sketch: Arc::new(sketch),
-            health: ShardState::Healthy,
-            store,
-            backoff: Backoff::new(cfg.backoff, shard_seed(cfg.seed, i)),
-            fault: None,
-            suspect_streak: 0,
-            quarantined_flushes: 0,
-            decode_incidents: 0,
-            last_error: None,
-        })
     }
 
     /// Attach metric handles resolved from `sink` (`dgs_core_supervise_*`
@@ -882,8 +858,12 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     }
 
     /// Logs one update to the WAL and buffers it; flushes at batch size.
+    ///
+    /// An update with a vertex `>= n` or a rank above `max_rank` is
+    /// rejected with a non-retryable [`RecoveryError::Sketch`] before it is
+    /// logged or buffered, so it can never poison the durable state.
     pub fn push(&mut self, u: &Update) -> Result<(), RecoveryError> {
-        self.wal.append(u)?;
+        log_update(&mut self.wal, u)?;
         self.buffer.push(u.clone());
         if self.buffer.len() >= self.cfg.batch_size {
             self.flush()?;
@@ -921,16 +901,42 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
             .is_none()
             .then(|| dgs_trace::child("dgs_core_supervise_flush"));
         self.rebuild_due_shards();
-        let batch = std::mem::take(&mut self.buffer);
-        if batch.is_empty() {
+        if self.buffer.is_empty() {
             return Ok(());
         }
+        let mut batch = std::mem::take(&mut self.buffer);
         self.metrics.flushes.inc();
 
-        let outcomes = self.apply_batch(&batch);
+        // Live shards are striped over the pool (contiguous blocks, block
+        // `t` on worker `t` every flush, so a worker's shards stay
+        // cache-resident). A panic while applying to one shard becomes a
+        // `Failed` outcome for that shard alone.
+        let stripes = self.cfg.threads.min(self.live_repetitions());
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        dgs_pool::run_striped(
+            &mut self.shards,
+            stripes,
+            &self.sink,
+            &mut outcomes,
+            |_, shard| {
+                shard
+                    .health
+                    .is_live()
+                    .then(|| apply_with_retry(shard, &batch))
+            },
+        );
         let mut live_failures: Vec<(usize, SketchError)> = Vec::new();
         let mut live_count = 0usize;
-        for (i, outcome) in outcomes {
+        for (i, outcome) in outcomes.drain(..).enumerate() {
+            let outcome = match outcome {
+                Ok(Some(outcome)) => outcome,
+                Ok(None) => continue,
+                Err(JobPanicked) => ApplyOutcome::Failed {
+                    error: SketchError::failure("supervise", "flush worker panicked"),
+                    attempts: 0,
+                    waited_ns: 0,
+                },
+            };
             live_count += 1;
             match outcome {
                 ApplyOutcome::Clean => {
@@ -974,6 +980,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
                 }
             }
         }
+        self.outcomes = outcomes;
         // Every live shard failing non-retryably on the same batch is the
         // stream's fault, not theirs: surface it as a stream error.
         if !live_failures.is_empty()
@@ -1009,79 +1016,10 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
                 self.scrub_one()?;
             }
         }
-        self.buffer = Vec::with_capacity(self.cfg.batch_size);
+        // Hand the drained batch back: its capacity serves the next fill.
+        batch.clear();
+        self.buffer = batch;
         Ok(())
-    }
-
-    /// Stripes the batch over live shards (live slot `i` → stripe
-    /// `i % threads`, deterministic like `ShardedIngestor`) on the
-    /// persistent sticky worker pool: stripe `t` is submitted to pool
-    /// worker `t` every flush, so a worker's shards stay cache-resident
-    /// across the stream. Returns `(shard index, outcome)` for every live
-    /// shard. A worker panic is caught on the worker and converted into a
-    /// `Failed` outcome for its stripe — the supervisor itself never
-    /// panics on a shard's behalf, and the pool's panic flag never trips.
-    fn apply_batch(&mut self, batch: &[Update]) -> Vec<(usize, ApplyOutcome)> {
-        let live: Vec<(usize, &mut Shard<S>)> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, s)| s.health.is_live())
-            .collect();
-        if live.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.cfg.threads.min(live.len());
-        if threads <= 1 {
-            return live
-                .into_iter()
-                .map(|(i, shard)| (i, apply_with_retry(shard, batch)))
-                .collect();
-        }
-        let mut stripes: Vec<Vec<(usize, &mut Shard<S>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (slot, entry) in live.into_iter().enumerate() {
-            stripes[slot % threads].push(entry);
-        }
-        let mut per_stripe: Vec<Vec<(usize, ApplyOutcome)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        let sink = self.sink.clone();
-        dgs_pool::with_local_pool(threads, |pool| {
-            pool.set_sink(&sink);
-            pool.scope(|scope| {
-                for ((t, stripe), out) in stripes.into_iter().enumerate().zip(per_stripe.iter_mut())
-                {
-                    let indices: Vec<usize> = stripe.iter().map(|(i, _)| *i).collect();
-                    scope.spawn(t, move || {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            stripe
-                                .into_iter()
-                                .map(|(i, shard)| (i, apply_with_retry(shard, batch)))
-                                .collect::<Vec<_>>()
-                        }));
-                        *out = run.unwrap_or_else(|_| {
-                            indices
-                                .iter()
-                                .map(|&i| {
-                                    (
-                                        i,
-                                        ApplyOutcome::Failed {
-                                            error: SketchError::failure(
-                                                "supervise",
-                                                "flush worker panicked",
-                                            ),
-                                            attempts: 0,
-                                            waited_ns: 0,
-                                        },
-                                    )
-                                })
-                                .collect()
-                        });
-                    });
-                }
-            });
-        });
-        per_stripe.into_iter().flatten().collect()
     }
 
     fn quarantine(&mut self, i: usize, cause: String) {
@@ -1170,30 +1108,21 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         }
     }
 
-    /// Runs the recovery ladder for shard `i` up to offset `cap` (the WAL
-    /// must already be synced to `cap`).
+    /// Restores shard `i` to exactly offset `cap` through
+    /// [`recover_to_cap`] (the WAL must already be synced to `cap`).
     fn rebuild_to(&self, i: usize, cap: u64) -> Result<S, RecoveryError> {
-        let driver = RecoveryDriver::new(&self.wal_dir, self.shards[i].store.clone());
-        let rec = driver
-            .recover_capped(Some(cap), |_, _| (self.build)(i))
-            .map_err(|e| e.in_shard(i))?;
-        if rec.offset != cap {
-            return Err(RecoveryError::NoState {
-                detail: format!(
-                    "rebuilt to offset {} but the ensemble is at {cap}",
-                    rec.offset
-                ),
-            }
-            .in_shard(i));
-        }
-        Ok(rec.sketch)
+        recover_to_cap(self.wal.dir(), &self.shards[i].store, cap, |_, _| {
+            (self.build)(i)
+        })
+        .map(|rec| rec.sketch)
+        .map_err(|e| e.in_shard(i))
     }
 
     /// Rebuilds shard `i` purely from the WAL (no snapshots), up to offset
     /// `cap`. This is the scrub audit's oracle: snapshots could themselves
     /// carry a divergence, the log cannot.
     fn replay_rebuild(&self, i: usize, cap: u64) -> Result<S, RecoveryError> {
-        let replay = dgs_hypergraph::read_wal(&self.wal_dir)
+        let replay = dgs_hypergraph::read_wal(self.wal.dir())
             .map_err(|e| RecoveryError::from(e).in_shard(i))?;
         let mut sketch = (self.build)(i);
         for (offset, u) in replay.updates.iter().take(cap as usize).enumerate() {
@@ -1210,16 +1139,15 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
 
     /// Syncs the WAL and snapshots every live shard at the current offset.
     fn snapshot_now(&mut self) -> Result<(), RecoveryError> {
-        self.wal.sync()?;
-        let offset = self.wal.offset();
-        for (i, shard) in self.shards.iter().enumerate() {
-            if shard.health.is_live() {
-                shard
-                    .store
-                    .save(shard.sketch.as_ref(), offset)
-                    .map_err(|e| e.in_shard(i))?;
-            }
-        }
+        let live = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.health.is_live());
+        snapshot_at_log_offset(
+            &mut self.wal,
+            live.map(|(i, s)| (Some(i), &s.store, s.sketch.as_ref())),
+        )?;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -1411,7 +1339,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     /// [`freeze`](Self::freeze), but quarantined/rebuilding shards are
     /// additionally reconstructed *into the view* from their newest valid
     /// checkpoint plus a WAL-tail replay capped at the frozen epoch
-    /// ([`RecoveryDriver::recover_capped`]) — the durable state is exact by
+    /// ([`crate::RecoveryDriver::recover_capped`]) — the durable state is exact by
     /// linearity, so the view regains full-R confidence even while the
     /// live ensemble is degraded. Shard health is untouched (this is a
     /// read path; healing stays with [`rebuild_now`](Self::rebuild_now)).
@@ -1575,9 +1503,7 @@ mod tests {
         (0..reps)
             .map(|i| {
                 let mut s = forest(i);
-                for u in &stream.updates {
-                    s.apply_update(u).unwrap();
-                }
+                crate::checkpoint::ingest_all(&mut s, stream).unwrap();
                 encoded(&s)
             })
             .collect()
@@ -1829,12 +1755,113 @@ mod tests {
         let snap = tmpdir("invalid-snap");
         let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg(14), forest).unwrap();
         sup.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
-        // Vertex out of range: every shard rejects it non-retryably.
+        // Vertex out of range for the log: rejected at push, before it
+        // reaches the log or any shard.
+        let err = sup
+            .push(&Update::insert(HyperEdge::pair(0, 99)))
+            .unwrap_err();
+        assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        sup.flush().unwrap();
+        assert_eq!(sup.shard_states(), vec![ShardState::Healthy; 3]);
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
+
+        // A log wider than the shards' edge space admits the update; every
+        // shard then rejects it non-retryably at flush, which fails the
+        // stream and leaves the shards healthy.
+        let wal = tmpdir("invalid-wide-wal");
+        let snap = tmpdir("invalid-wide-snap");
+        let mut sup = SupervisedIngestor::create(&wal, &snap, 128, 2, cfg(14), forest).unwrap();
+        sup.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
         sup.push(&Update::insert(HyperEdge::pair(0, 99))).unwrap();
         let err = sup.flush().unwrap_err();
         assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        assert_eq!(sup.shard_states(), vec![ShardState::Healthy; 3]);
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    /// Regression: a malformed update used to reach the WAL before anything
+    /// validated it. Its flush then failed, the accepted updates batched
+    /// with it were dropped, and every later rebuild or resume failed
+    /// replaying it.
+    #[test]
+    fn rejected_update_leaves_the_durable_state_intact() {
+        let wal = tmpdir("reject-wal");
+        let snap = tmpdir("reject-snap");
+        let cfg = SupervisorConfig {
+            batch_size: 4,
+            ..cfg(17)
+        };
+        let stream = workload(17, 60);
+        let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, forest).unwrap();
+        sup.push(&stream.updates[0]).unwrap();
+        let bad = [
+            HyperEdge::pair(0, 99),                 // vertex >= n
+            HyperEdge::new(vec![0, 1, 2]).unwrap(), // rank above max_rank
+        ];
+        for e in bad {
+            let err = sup.push(&Update::insert(e)).unwrap_err();
+            assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+            // Nothing was logged or buffered: offset == ingested + buffered.
+            assert_eq!((sup.offset(), sup.ingested()), (1, 0));
+        }
+        for u in &stream.updates[1..] {
+            sup.push(u).unwrap();
+        }
+        sup.flush().unwrap();
+        assert_eq!((sup.offset(), sup.ingested()), (60, 60));
+        let reference = reference_shards(&stream, 3);
+        sup.rebuild_now(0).unwrap();
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(&sup.shard_encoded(i), want, "shard {i}");
+        }
+        drop(sup);
+        let (sup, durable) =
+            SupervisedIngestor::<SpanningForestSketch>::resume(&wal, &snap, N, 2, cfg, forest)
+                .unwrap();
+        assert_eq!(durable, 60);
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(&sup.shard_encoded(i), want, "resumed shard {i}");
+        }
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    #[test]
+    fn striped_flush_around_a_quarantined_shard_matches_sequential() {
+        let stream = workload(18, 200);
+        let reference = reference_shards(&stream, 5);
+        for threads in [1usize, 2, 3, 5] {
+            let wal = tmpdir("sweep-wal");
+            let snap = tmpdir("sweep-snap");
+            let cfg = SupervisorConfig {
+                repetitions: 5,
+                threads,
+                rebuild_after_flushes: u64::MAX, // stay down until finish
+                ..cfg(18)
+            };
+            let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, forest).unwrap();
+            for u in &stream.updates[..90] {
+                sup.push(u).unwrap();
+            }
+            sup.inject_apply_fault(2, SketchError::failure("chaos", "poisoned"), u32::MAX);
+            for u in &stream.updates[90..] {
+                sup.push(u).unwrap();
+            }
+            sup.flush().unwrap();
+            assert_eq!(
+                sup.shard_states()[2],
+                ShardState::Quarantined,
+                "threads {threads}"
+            );
+            assert_eq!(sup.live_repetitions(), 4, "threads {threads}");
+            let boosted = sup.finish().unwrap();
+            let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
+            assert_eq!(got, reference, "threads {threads}");
+            std::fs::remove_dir_all(&wal).unwrap();
+            std::fs::remove_dir_all(&snap).unwrap();
+        }
     }
 
     #[test]

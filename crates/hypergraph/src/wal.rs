@@ -375,6 +375,16 @@ impl WalWriter {
         self.offset
     }
 
+    /// Vertex count of the logged stream.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Largest edge rank the logged stream admits.
+    pub fn max_rank(&self) -> usize {
+        self.max_rank
+    }
+
     /// Index of the segment currently being written.
     pub fn segment_index(&self) -> u64 {
         self.seg_index

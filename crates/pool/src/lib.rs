@@ -21,6 +21,11 @@
 //! ring mailbox — no external channel crate, no shared run queue to contend
 //! on.
 //!
+//! Both ingest paths fan out through one routine, [`run_striped`]: it cuts
+//! the items into contiguous blocks, runs block `t` on worker `t` of the
+//! caller's cached pool, and turns a panic in one item's job into a typed
+//! [`JobPanicked`] for that item alone.
+//!
 //! Borrowed jobs are supported through [`StickyPool::scope`], which acts as
 //! a drain/join **barrier**: it does not return until every job submitted
 //! inside it has completed, so jobs may capture `&mut` references into the
@@ -510,11 +515,96 @@ pub fn with_local_pool<R>(threads: usize, f: impl FnOnce(&StickyPool) -> R) -> R
     result
 }
 
+/// A striped job that panicked. The panic was caught on the worker, so it
+/// spoils only its own item's result, never the batch or the pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobPanicked;
+
+/// Runs `job(stripe, item)` once for every item and writes its result to
+/// the matching slot of `results`, which is cleared and refilled.
+///
+/// The items are cut into `stripes` contiguous blocks, clamped to
+/// `1..=items.len()`. Block `t` holds `n / stripes` items, plus one for
+/// `t < n % stripes`, and always runs on worker `t` of the caller's
+/// thread-local pool ([`with_local_pool`]), so a worker touches the same
+/// items call after call. One stripe runs inline on the calling thread.
+///
+/// Each item's job runs under its own `catch_unwind`: a panic becomes
+/// `Err(JobPanicked)` for that item alone, and every other item still runs.
+/// The pool's own panic flag never trips.
+pub fn run_striped<T, R, F>(
+    items: &mut [T],
+    stripes: usize,
+    sink: &MetricsSink,
+    results: &mut Vec<Result<R, JobPanicked>>,
+    job: F,
+) where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let n = items.len();
+    results.clear();
+    results.resize_with(n, || Err(JobPanicked));
+    let stripes = stripes.clamp(1, n.max(1));
+    let run_block = |t: usize, block: &mut [T], slots: &mut [Result<R, JobPanicked>]| {
+        for (item, slot) in block.iter_mut().zip(slots) {
+            *slot = catch_unwind(AssertUnwindSafe(|| job(t, item))).map_err(|_| JobPanicked);
+        }
+    };
+    if stripes == 1 {
+        run_block(0, items, results);
+        return;
+    }
+    with_local_pool(stripes, |pool| {
+        pool.set_sink(sink);
+        pool.scope(|scope| {
+            let (mut items, mut slots) = (items, &mut results[..]);
+            for t in 0..stripes {
+                let len = n / stripes + usize::from(t < n % stripes);
+                let (block, rest) = std::mem::take(&mut items).split_at_mut(len);
+                items = rest;
+                let (out, rest) = std::mem::take(&mut slots).split_at_mut(len);
+                slots = rest;
+                let run_block = &run_block;
+                scope.spawn(t, move || run_block(t, block, out));
+            }
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+
+    #[test]
+    fn run_striped_cuts_contiguous_blocks_and_contains_panics() {
+        let sink = MetricsSink::null();
+        // 7 items over 3 stripes: blocks of 3, 2 and 2.
+        let mut items = vec![0usize; 7];
+        run_striped(&mut items, 3, &sink, &mut Vec::new(), |t, x| *x = t);
+        assert_eq!(items, vec![0, 0, 0, 1, 1, 2, 2]);
+        // A panic fails its own item only: every other item still runs,
+        // including those behind it in the same stripe.
+        let mut results = Vec::new();
+        for stripes in [1usize, 2, 3, 5, 8] {
+            let mut items: Vec<u64> = (0..7).collect();
+            run_striped(&mut items, stripes, &sink, &mut results, |_, x| {
+                assert_ne!(*x, 3, "job boom");
+                *x *= 10;
+                *x
+            });
+            let want: Vec<_> = (0..7u64)
+                .map(|i| if i == 3 { Err(JobPanicked) } else { Ok(i * 10) })
+                .collect();
+            assert_eq!(results, want, "stripes {stripes}");
+            assert_eq!(items, vec![0, 10, 20, 3, 40, 50, 60], "stripes {stripes}");
+        }
+        run_striped(&mut [] as &mut [u64], 4, &sink, &mut results, |_, x| *x);
+        assert!(results.is_empty());
+    }
 
     #[test]
     fn scope_runs_jobs_and_barriers() {

@@ -152,6 +152,8 @@ mod tests {
             ring.push([i; WORDS]);
         }
         stop.store(1, Ordering::Release);
-        reader.join().unwrap();
+        if let Err(panic) = reader.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

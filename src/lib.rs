@@ -46,8 +46,6 @@ pub use dgs_field as field;
 pub use dgs_hypergraph as hypergraph;
 pub use dgs_sketch as sketch;
 
-pub mod parallel;
-
 /// One-stop imports for the common API surface.
 pub mod prelude {
     pub use dgs_baselines::{benczur_karger_sparsifier, EppsteinCertificate, StoreAll};
@@ -74,4 +72,138 @@ pub mod prelude {
         WeightedHypergraph,
     };
     pub use dgs_sketch::{L0Params, L0Sampler, Profile, SketchError, SketchResult};
+}
+
+/// Linearity under threaded ingest: a stream split across worker threads,
+/// each feeding its own same-seeded sketch, merges back to the serial
+/// state. (The byte-level, every-family version of this law lives in
+/// `tests/property_invariants.rs`.)
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use dgs_connectivity::{ForestParams, SpanningForestSketch};
+        use dgs_core::{
+            HypergraphSparsifier, SparsifierConfig, VertexConnConfig, VertexConnSketch,
+        };
+        use dgs_field::prng::*;
+        use dgs_field::SeedTree;
+        use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
+        use dgs_hypergraph::{EdgeSpace, Hypergraph, Update, UpdateStream};
+        use dgs_sketch::Profile;
+
+        /// Cuts `updates` into `threads` contiguous shards, ingests each on
+        /// its own scoped thread into a fresh `build()`, and folds the
+        /// partials with `merge`.
+        fn sharded<S: Send>(
+            updates: &[Update],
+            threads: usize,
+            build: impl Fn() -> S + Sync,
+            apply: impl Fn(&mut S, &Update) + Sync,
+            merge: impl Fn(&mut S, &S),
+        ) -> S {
+            let chunk = updates.len().div_ceil(threads).max(1);
+            let partials: Vec<S> = std::thread::scope(|scope| {
+                let handles: Vec<_> = updates
+                    .chunks(chunk)
+                    .map(|shard| {
+                        let (build, apply) = (&build, &apply);
+                        scope.spawn(move || {
+                            let mut sk = build();
+                            shard.iter().for_each(|u| apply(&mut sk, u));
+                            sk
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            let mut acc = build();
+            partials.iter().for_each(|p| merge(&mut acc, p));
+            acc
+        }
+
+        fn churn(n: usize, p: f64, seed: u64) -> UpdateStream {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let h = Hypergraph::from_graph(&gnp(n, p, &mut rng));
+            churn_stream(&h, ChurnConfig::default(), &mut rng)
+        }
+
+        #[test]
+        fn sharded_forest_equals_serial() {
+            let stream = churn(20, 0.3, 1);
+            let space = EdgeSpace::graph(20).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            let seeds = SeedTree::new(10);
+            let build = || SpanningForestSketch::new_full(space.clone(), &seeds, params);
+            let apply = |s: &mut SpanningForestSketch, u: &Update| s.update(&u.edge, u.op.delta());
+
+            let mut serial = build();
+            stream.updates.iter().for_each(|u| apply(&mut serial, u));
+            for threads in [1usize, 2, 4, 7] {
+                let par = sharded(&stream.updates, threads, build, apply, |a, b| {
+                    a.add_assign_sketch(b)
+                });
+                assert_eq!(par.decode(), serial.decode(), "{threads} threads");
+            }
+        }
+
+        #[test]
+        fn sharded_vertex_conn_equals_serial() {
+            let stream = churn(16, 0.4, 2);
+            let space = EdgeSpace::graph(16).unwrap();
+            let cfg = VertexConnConfig::query(2, 16, 1.5, Profile::Practical);
+            let seeds = SeedTree::new(11);
+            let build = || VertexConnSketch::new(space.clone(), cfg, &seeds);
+            let apply = |s: &mut VertexConnSketch, u: &Update| s.update(&u.edge, u.op.delta());
+
+            let mut serial = build();
+            stream.updates.iter().for_each(|u| apply(&mut serial, u));
+            let par = sharded(&stream.updates, 3, build, apply, |a, b| {
+                a.add_assign_sketch(b)
+            });
+            assert_eq!(
+                par.certificate().union.edges(),
+                serial.certificate().union.edges()
+            );
+        }
+
+        #[test]
+        fn sharded_sparsifier_equals_serial() {
+            let stream = churn(12, 0.5, 3);
+            let space = EdgeSpace::graph(12).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            let cfg = SparsifierConfig::explicit(3, 6, params);
+            let seeds = SeedTree::new(12);
+            let build = || HypergraphSparsifier::new(space.clone(), cfg, &seeds);
+            let apply = |s: &mut HypergraphSparsifier, u: &Update| s.update(&u.edge, u.op.delta());
+
+            let mut serial = build();
+            stream.updates.iter().for_each(|u| apply(&mut serial, u));
+            let par = sharded(&stream.updates, 4, build, apply, |a, b| {
+                a.add_assign_sketch(b)
+            });
+            let (a, b) = (serial.decode(), par.decode());
+            assert_eq!(a.per_level, b.per_level);
+            let ea: Vec<_> = a.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
+            let eb: Vec<_> = b.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
+            assert_eq!(ea, eb);
+        }
+
+        #[test]
+        fn empty_stream_is_fine() {
+            let space = EdgeSpace::graph(5).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            let seeds = SeedTree::new(13);
+            let sk = sharded(
+                &[],
+                4,
+                || SpanningForestSketch::new_full(space.clone(), &seeds, params),
+                |s, u| s.update(&u.edge, u.op.delta()),
+                |a, b| a.add_assign_sketch(b),
+            );
+            assert!(sk.decode().is_empty());
+        }
+    }
 }

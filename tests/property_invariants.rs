@@ -91,6 +91,88 @@ fn sketch_addition_is_graph_union() {
     }
 }
 
+/// Linearity across a partition, for every sketch family: cut a stream
+/// into contiguous parts, ingest each part into a same-seeded sibling, and
+/// the summed partials are byte-identical to serial ingestion (the empty
+/// stream included). This is what makes split and striped ingest exact.
+#[test]
+fn split_stream_merged_partials_equal_serial() {
+    use dgs_field::{Codec, Writer};
+    use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
+    fn encoded<T: Codec>(t: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        t.encode(&mut w);
+        w.into_bytes()
+    }
+    fn check<S: Recoverable>(
+        label: &str,
+        stream: &UpdateStream,
+        build: impl Fn() -> S,
+        merge: impl Fn(&mut S, &S),
+    ) {
+        let mut serial = build();
+        for u in &stream.updates {
+            serial.apply_update(u).unwrap();
+        }
+        let expected = encoded(&serial);
+        for parts in [2usize, 7] {
+            let chunk = stream.updates.len().div_ceil(parts).max(1);
+            let mut merged = build();
+            for part in stream.updates.chunks(chunk) {
+                let mut partial = build();
+                for u in part {
+                    partial.apply_update(u).unwrap();
+                }
+                merge(&mut merged, &partial);
+            }
+            assert_eq!(encoded(&merged), expected, "{label}, {parts} parts");
+        }
+    }
+
+    let n = 10;
+    let space = EdgeSpace::graph(n).unwrap();
+    let params = ForestParams::new(Profile::Practical, space.dimension());
+    let vc = VertexConnConfig::query(2, n, 1.5, Profile::Practical);
+    let sp = SparsifierConfig::explicit(3, 6, params);
+    let mut rng = StdRng::seed_from_u64(0x5A17);
+    let h = Hypergraph::from_graph(&gnp(n, 0.4, &mut rng));
+    let churn = churn_stream(&h, ChurnConfig::default(), &mut rng);
+    for stream in [churn, UpdateStream::new(n, 2)] {
+        let seeds = SeedTree::new(0x5A17 + stream.updates.len() as u64);
+        let space = || space.clone();
+        check(
+            "forest",
+            &stream,
+            || SpanningForestSketch::new_full(space(), &seeds, params),
+            |a, b| a.try_add_assign_sketch(b).unwrap(),
+        );
+        check(
+            "k-skeleton",
+            &stream,
+            || KSkeletonSketch::new(space(), 2, &seeds, params),
+            |a, b| a.try_add_assign_sketch(b).unwrap(),
+        );
+        check(
+            "vertex-conn",
+            &stream,
+            || VertexConnSketch::new(space(), vc, &seeds),
+            |a, b| a.try_add_assign_sketch(b).unwrap(),
+        );
+        check(
+            "sparsifier",
+            &stream,
+            || HypergraphSparsifier::new(space(), sp, &seeds),
+            |a, b| a.add_assign_sketch(b),
+        );
+        check(
+            "light-recovery",
+            &stream,
+            || LightRecoverySketch::new(space(), 2, &seeds, params),
+            |a, b| a.add_assign_sketch(b),
+        );
+    }
+}
+
 /// Update order never matters (streams are linear functionals).
 #[test]
 fn stream_order_is_irrelevant() {
