@@ -5,10 +5,13 @@
 //! experiments e1 e8 [--quick]          # selected experiments
 //! experiments list                     # id -> claim mapping
 //! experiments check-ingest [baseline]  # CI guard vs BENCH_ingest.json
-//! experiments check-query [baseline]   # CI guard vs BENCH_query.json
 //! ```
+//!
+//! Every `check-*` command is one entry of `experiments::GUARDS`.
 
 use std::process::ExitCode;
+
+use dgs_bench::experiments::GUARDS;
 
 const DESCRIPTIONS: &[(&str, &str)] = &[
     ("e1", "Thm 4: vertex-removal query structure"),
@@ -72,71 +75,27 @@ fn main() -> ExitCode {
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
     if ids.is_empty() || ids.iter().any(|a| a.as_str() == "help") {
+        let checks: Vec<String> = GUARDS
+            .iter()
+            .map(|g| format!("{} [baseline]", g.command))
+            .collect();
         eprintln!(
-            "usage: experiments <all | list | check-ingest [baseline] | check-obs [baseline] \
-             | check-query [baseline] | check-chaos [baseline] | check-service [baseline] \
-             | check-trace [baseline] | check-hybrid [baseline] \
-             | obs-report [--postmortem <file>] | e1 .. e23>... [--quick]"
+            "usage: experiments <all | list | {} \
+             | obs-report [--postmortem <file>] | e1 .. e23>... [--quick]",
+            checks.join(" | ")
         );
         return ExitCode::from(2);
     }
-    if ids.first().map(|a| a.as_str()) == Some("check-ingest") {
-        let baseline = ids.get(1).map_or("BENCH_ingest.json", |s| s.as_str());
-        return if dgs_bench::experiments::e17_ingest::check(baseline) {
+    let first = ids.first().map(|a| a.as_str());
+    if let Some(guard) = GUARDS.iter().find(|g| Some(g.command) == first) {
+        let baseline = ids.get(1).map_or(guard.file, |s| s.as_str());
+        return if guard.check(baseline) {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         };
     }
-    if ids.first().map(|a| a.as_str()) == Some("check-query") {
-        let baseline = ids.get(1).map_or("BENCH_query.json", |s| s.as_str());
-        return if dgs_bench::experiments::e19_query::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-obs") {
-        let baseline = ids.get(1).map_or("BENCH_obs.json", |s| s.as_str());
-        return if dgs_bench::experiments::e18_obs::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-chaos") {
-        let baseline = ids.get(1).map_or("BENCH_chaos.json", |s| s.as_str());
-        return if dgs_bench::experiments::e20_chaos::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-service") {
-        let baseline = ids.get(1).map_or("BENCH_service.json", |s| s.as_str());
-        return if dgs_bench::experiments::e21_service::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-trace") {
-        let baseline = ids.get(1).map_or("BENCH_trace.json", |s| s.as_str());
-        return if dgs_bench::experiments::e22_trace::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-hybrid") {
-        let baseline = ids.get(1).map_or("BENCH_hybrid.json", |s| s.as_str());
-        return if dgs_bench::experiments::e23_hybrid::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("obs-report") {
+    if first == Some("obs-report") {
         if args.iter().any(|a| a == "--postmortem") {
             // The file path is the operand after the flag.
             let Some(path) = ids.get(1) else {

@@ -6,7 +6,7 @@
 //! writing the sketch more often. Because sketches are linear, recovery is
 //! *exact* — this experiment verifies bit-identity against an uninterrupted
 //! run in every row while measuring the trade-off, and writes the machine-
-//! readable baseline `BENCH_recovery.json`.
+//! readable baseline `BENCH_recovery.json` (guarded by `check-recovery`).
 
 use std::time::Instant;
 
@@ -14,26 +14,20 @@ use dgs_connectivity::SpanningForestSketch;
 use dgs_core::checkpoint::{
     CheckpointConfig, CheckpointStore, CheckpointedIngestor, Recoverable, RecoveryDriver,
 };
-use dgs_field::prng::*;
-use dgs_field::{Codec, SeedTree, Writer};
-use dgs_hypergraph::generators::gnm;
 use dgs_hypergraph::wal::WalConfig;
-use dgs_hypergraph::{EdgeSpace, Hypergraph};
 
-use crate::baseline::{Baseline, Fields};
-use crate::report::{fmt_bytes, Table};
-use crate::workloads::{default_stream, lean_forest};
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{encoded, gnm_churn, lean_forest_sketch, ScratchDir};
 
-fn fresh(n: usize, seed: u64) -> SpanningForestSketch {
-    let space = EdgeSpace::graph(n).unwrap();
-    SpanningForestSketch::new_full(space, &SeedTree::new(seed), lean_forest())
-}
-
-fn encoded_len<T: Codec>(t: &T) -> usize {
-    let mut w = Writer::new();
-    t.encode(&mut w);
-    w.len()
-}
+/// `experiments e16` writes `BENCH_recovery.json`; `check-recovery` guards
+/// it: every cadence must recover bit-exactly.
+pub const GUARD: Guard = Guard {
+    command: "check-recovery",
+    file: "BENCH_recovery.json",
+    verdict_field: Some("summary.all_exact"),
+    gates: &[Gate::row("rows[*].exact", Cmp::Eq, Bound::TRUE)],
+    measure: |quick| document(&measure(quick)),
+};
 
 fn dir_bytes(dir: &std::path::Path) -> u64 {
     std::fs::read_dir(dir)
@@ -46,24 +40,29 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
         .unwrap_or(0)
 }
 
-struct RowOut {
-    interval: String,
-    interval_updates: Option<u64>,
-    snapshots: usize,
-    wal_bytes: u64,
-    snap_bytes: u64,
-    ingest_ms: f64,
-    replayed: u64,
-    recovery_ms: f64,
-    exact: bool,
+pub struct RowOut {
+    pub interval: String,
+    pub interval_updates: Option<u64>,
+    pub snapshots: usize,
+    pub wal_bytes: u64,
+    pub snap_bytes: u64,
+    pub ingest_ms: f64,
+    pub replayed: u64,
+    pub recovery_ms: f64,
+    pub exact: bool,
 }
 
-pub fn run(quick: bool) {
+pub struct Measurement {
+    pub n: usize,
+    pub updates: usize,
+    pub crash_at: usize,
+    pub rows: Vec<RowOut>,
+}
+
+pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 48 } else { 96 };
     let seed = 0xE16;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnm(n, 4 * n, &mut rng));
-    let stream = default_stream(&h, &mut rng);
+    let stream = gnm_churn(n, 4 * n, seed);
     let m = stream.len();
     // Crash strictly between checkpoints so every row replays a tail.
     let crash_at = m - m / 7 - 1;
@@ -75,32 +74,13 @@ pub fn run(quick: bool) {
     };
 
     // The uninterrupted reference over the durable prefix.
-    let mut reference = fresh(n, seed);
+    let mut reference = lean_forest_sketch(n, seed);
     for u in &stream.updates[..crash_at] {
         reference.apply_update(u).expect("reference ingest");
     }
-    let reference_bytes = {
-        let mut w = Writer::new();
-        reference.encode(&mut w);
-        w.into_bytes()
-    };
+    let reference_bytes = encoded(&reference);
 
-    let mut table = Table::new(
-        "E16: recovery time vs checkpoint interval (forest sketch)",
-        &[
-            "interval",
-            "snapshots",
-            "wal size",
-            "snap size",
-            "ingest ms",
-            "replayed",
-            "recovery ms",
-            "exact",
-        ],
-    );
-
-    let base = std::env::temp_dir().join(format!("dgs-e16-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = ScratchDir::new("e16");
     let mut rows: Vec<RowOut> = Vec::new();
     for (i, &interval) in intervals.iter().enumerate() {
         let wal_dir = base.join(format!("wal-{i}"));
@@ -122,7 +102,7 @@ pub fn run(quick: bool) {
             stream.n,
             stream.max_rank,
             cfg,
-            fresh(n, seed),
+            lean_forest_sketch(n, seed),
         )
         .expect("create ingestor");
         for u in &stream.updates[..crash_at] {
@@ -140,32 +120,13 @@ pub fn run(quick: bool) {
         let driver = RecoveryDriver::new(&wal_dir, store);
         let t1 = Instant::now();
         let rec = driver
-            .recover::<SpanningForestSketch, _>(|_, _| fresh(n, seed))
+            .recover::<SpanningForestSketch, _>(|_, _| lean_forest_sketch(n, seed))
             .expect("recovery");
         let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-        let exact = rec.offset as usize == crash_at && {
-            let mut w = Writer::new();
-            rec.sketch.encode(&mut w);
-            w.into_bytes() == reference_bytes
-        };
-
-        let label = match interval {
-            Some(k) => k.to_string(),
-            None => "wal-only".to_string(),
-        };
-        table.row(vec![
-            label.clone(),
-            snapshots.to_string(),
-            fmt_bytes(wal_bytes as usize),
-            fmt_bytes(snap_bytes as usize),
-            format!("{ingest_ms:.1}"),
-            rec.replayed.to_string(),
-            format!("{recovery_ms:.2}"),
-            exact.to_string(),
-        ]);
+        let exact = rec.offset as usize == crash_at && encoded(&rec.sketch) == reference_bytes;
         rows.push(RowOut {
-            interval: label,
+            interval: interval.map_or("wal-only".to_string(), |k| k.to_string()),
             interval_updates: interval,
             snapshots,
             wal_bytes,
@@ -176,30 +137,25 @@ pub fn run(quick: bool) {
             exact,
         });
     }
-    let _ = std::fs::remove_dir_all(&base);
-
-    table.note(format!(
-        "workload: {m} updates over n = {n}; crash at update {crash_at}; sketch {} encoded",
-        fmt_bytes(encoded_len(&reference))
-    ));
-    table.note("recovery = newest valid snapshot + WAL-tail replay; exact = bit-identical to uninterrupted run");
-    table.note("wal-only = no snapshots: recovery degrades to a full-log replay");
-    table.print();
-
-    write_baseline(&rows, n, m, crash_at);
+    Measurement {
+        n,
+        updates: m,
+        crash_at,
+        rows,
+    }
 }
 
 /// `BENCH_recovery.json` in the shared [`crate::baseline`] schema: a row
-/// per snapshot cadence (`pass` = bit-exact recovery), summary `pass` =
-/// every cadence recovered exactly.
-fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize) {
+/// per snapshot cadence; `wal-only` = no snapshots, so recovery degrades to
+/// a full-log replay.
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e16-recovery").config(
         Fields::new()
-            .usize("n", n)
-            .usize("updates", m)
-            .usize("crash_at", crash_at),
+            .usize("n", meas.n)
+            .usize("updates", meas.updates)
+            .usize("crash_at", meas.crash_at),
     );
-    for r in rows {
+    for r in &meas.rows {
         b.row(
             Fields::new()
                 .opt_u64("interval", r.interval_updates)
@@ -211,10 +167,7 @@ fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize) {
                 .u64("replayed", r.replayed)
                 .f64("recovery_ms", r.recovery_ms, 3)
                 .bool("exact", r.exact),
-            r.exact,
         );
     }
-    let all_exact = rows.iter().all(|r| r.exact);
-    b.summary(Fields::new().bool("all_exact", all_exact), all_exact)
-        .write("BENCH_recovery.json");
+    b
 }

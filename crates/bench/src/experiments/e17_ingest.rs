@@ -24,28 +24,44 @@ use std::time::Instant;
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{BoostedQuery, ShardedIngestor};
-use dgs_field::prng::*;
-use dgs_field::{Codec, SeedTree, Writer};
-use dgs_hypergraph::generators::gnm;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
+use dgs_field::SeedTree;
+use dgs_hypergraph::EdgeSpace;
 
-use crate::baseline::{json_f64_field, Baseline, Fields};
-use crate::report::Table;
-use crate::workloads::{default_stream, lean_forest};
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{encoded, gnm_churn, lean_forest, lean_forest_sketch, tiled_pairs};
 
-/// Batch size shared by every striped row and the crossover comparison.
+/// Batch size shared by every striped row and the crossover comparison
+/// (the `256` in the crossover gate's selectors).
 const CROSSOVER_BATCH: usize = 256;
 
-fn fresh(n: usize, seed: u64) -> SpanningForestSketch {
-    let space = EdgeSpace::graph(n).unwrap();
-    SpanningForestSketch::new_full(space, &SeedTree::new(seed), lean_forest())
-}
-
-fn encoded<T: Codec>(t: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    t.encode(&mut w);
-    w.into_bytes()
-}
+/// `experiments e17` writes `BENCH_ingest.json`; `check-ingest` guards it.
+/// The ×5 throughput floor absorbs machine-to-machine variance: it catches
+/// order-of-magnitude kernel regressions, not 10% drift. The crossover
+/// gate only means something where a second core exists, so it SKIPs
+/// loudly on a single-CPU host.
+pub const GUARD: Guard = Guard {
+    command: "check-ingest",
+    file: "BENCH_ingest.json",
+    verdict_field: None,
+    gates: &[
+        Gate::row("rows[*].exact", Cmp::Eq, Bound::TRUE),
+        Gate::fresh(
+            "summary.best_batched_updates_per_sec",
+            Cmp::Ge,
+            Bound::Baseline("summary.best_batched_updates_per_sec", 5.0),
+        ),
+        Gate::fresh(
+            "rows[mode=striped,batch=256,threads=2].updates_per_sec",
+            Cmp::Gt,
+            Bound::Path(
+                "rows[mode=batched,batch=256,threads=1].updates_per_sec",
+                1.0,
+            ),
+        )
+        .when("summary.host_cpus", Cmp::Ge, 2.0),
+    ],
+    measure: |quick| document(&measure(quick)),
+};
 
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -98,7 +114,7 @@ fn time_best(
     let mut best = 0.0f64;
     let mut bytes = Vec::new();
     for _ in 0..trials {
-        let mut sketch = fresh(n, seed);
+        let mut sketch = lean_forest_sketch(n, seed);
         let t = Instant::now();
         ingest(&mut sketch);
         let ups = m as f64 / t.elapsed().as_secs_f64();
@@ -110,8 +126,7 @@ fn time_best(
     (best, bytes)
 }
 
-/// Runs the measurement grid. Separated from [`run`] so the CI guard
-/// (`check-ingest`) can re-measure without printing tables.
+/// Runs the measurement grid.
 pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 128 } else { 512 };
     // Update-count floor; the churn stream is tiled up to it so the
@@ -119,19 +134,9 @@ pub fn measure(quick: bool) -> Measurement {
     let target: usize = if quick { 10_000 } else { 100_000 };
     let seed = 0xE17;
     let trials = if quick { 1 } else { 3 };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnm(n, 4 * n, &mut rng));
-    let stream = default_stream(&h, &mut rng);
-    let base_pairs: Vec<(HyperEdge, i64)> = stream
-        .updates
-        .iter()
-        .map(|u| (u.edge.clone(), u.op.delta()))
-        .collect();
-    let stream_updates = base_pairs.len();
-    let mut pairs = Vec::with_capacity(target + stream_updates);
-    while pairs.len() < target {
-        pairs.extend(base_pairs.iter().cloned());
-    }
+    let stream = gnm_churn(n, 4 * n, seed);
+    let stream_updates = stream.len();
+    let pairs = tiled_pairs(&stream, target);
     let m = pairs.len();
 
     let mut rows: Vec<RowOut> = Vec::new();
@@ -293,47 +298,11 @@ pub fn measure(quick: bool) -> Measurement {
     meas
 }
 
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E17: ingest throughput (forest sketch, updates/sec)",
-        &["mode", "batch", "threads", "updates/s", "speedup", "exact"],
-    );
-    for r in &meas.rows {
-        table.row(vec![
-            r.mode.to_string(),
-            r.batch.map_or("-".to_string(), |b| b.to_string()),
-            r.threads.to_string(),
-            format!("{:.0}", r.updates_per_sec),
-            format!("{:.2}x", r.speedup),
-            r.exact.to_string(),
-        ]);
-    }
-    table.note(format!(
-        "workload: {} updates ({} unique churn, tiled) over n = {}; best of {} trial(s) per row",
-        meas.updates, meas.stream_updates, meas.n, meas.trials
-    ));
-    table.note(format!(
-        "host cpus: {}; striping crossover at batch {}: {}",
-        meas.host_cpus,
-        CROSSOVER_BATCH,
-        if meas.crossover_threads == 0 {
-            "none".to_string()
-        } else {
-            format!("{} threads", meas.crossover_threads)
-        }
-    ));
-    table.note("speedup is vs the scalar per-update loop of the same mode family");
-    table.note("exact = final sketch encoding bit-identical to the scalar reference");
-    table.print();
-    write_baseline(&meas);
-}
-
 /// `BENCH_ingest.json` in the shared [`crate::baseline`] schema: a row per
-/// ingest variant (`pass` = bit-identity held), summary throughput
-/// aggregates, host CPU count, and the striping crossover point for the CI
-/// guard.
-fn write_baseline(meas: &Measurement) {
+/// ingest variant (speedup is vs the scalar loop of the same mode family;
+/// exact = final encoding bit-identical to the scalar reference), summary
+/// throughput aggregates, host CPU count, and the striping crossover point.
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e17-ingest").config(
         Fields::new()
             .usize("n", meas.n)
@@ -350,10 +319,8 @@ fn write_baseline(meas: &Measurement) {
                 .f64("updates_per_sec", r.updates_per_sec, 1)
                 .f64("speedup", r.speedup, 3)
                 .bool("exact", r.exact),
-            r.exact,
         );
     }
-    let all_exact = meas.rows.iter().all(|r| r.exact);
     b.summary(
         Fields::new()
             .f64("scalar_updates_per_sec", meas.scalar_updates_per_sec, 1)
@@ -364,95 +331,5 @@ fn write_baseline(meas: &Measurement) {
             )
             .usize("host_cpus", meas.host_cpus)
             .usize("striped_crossover_threads", meas.crossover_threads),
-        all_exact,
     )
-    .write("BENCH_ingest.json");
-}
-
-/// CI guard: re-measures the quick workload and fails (returns `false`) if
-/// batched throughput regressed more than `MAX_REGRESSION`x against the
-/// checked-in baseline, if any variant lost bit-identity, or — on a
-/// multi-core host — if striping at 2 threads failed to beat the
-/// single-thread batched kernel at the same batch size. The wide
-/// throughput margin absorbs machine-to-machine variance; the guard exists
-/// to catch order-of-magnitude kernel regressions and parallel-scaling
-/// regressions, not 10% drift.
-pub fn check(baseline_path: &str) -> bool {
-    const MAX_REGRESSION: f64 = 5.0;
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-ingest: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(base_batched) = json_f64_field(&baseline, "best_batched_updates_per_sec") else {
-        eprintln!("check-ingest: no best_batched_updates_per_sec in {baseline_path}");
-        return false;
-    };
-    let meas = measure(true);
-    let mut ok = true;
-    for r in &meas.rows {
-        if !r.exact {
-            eprintln!(
-                "check-ingest: FAIL — {} (batch {:?}, threads {}) lost bit-identity",
-                r.mode, r.batch, r.threads
-            );
-            ok = false;
-        }
-    }
-    let current = meas.best_batched_updates_per_sec;
-    println!(
-        "check-ingest: batched {current:.0} updates/s vs baseline {base_batched:.0} \
-         (floor {:.0})",
-        base_batched / MAX_REGRESSION
-    );
-    if current * MAX_REGRESSION < base_batched {
-        eprintln!(
-            "check-ingest: FAIL — batched ingest regressed more than {MAX_REGRESSION}x \
-             ({current:.0} vs baseline {base_batched:.0} updates/s)"
-        );
-        ok = false;
-    }
-    // Parallel-scaling guard: only meaningful where a second core exists.
-    if meas.host_cpus >= 2 {
-        let batched = meas.row_ups("batched", Some(CROSSOVER_BATCH), 1);
-        let striped = meas.row_ups("striped", Some(CROSSOVER_BATCH), 2);
-        match (batched, striped) {
-            (Some(b1), Some(s2)) => {
-                println!(
-                    "check-ingest: striped(t=2) {s2:.0} vs batched(t=1) {b1:.0} \
-                     updates/s at batch {CROSSOVER_BATCH}"
-                );
-                if s2 <= b1 {
-                    eprintln!(
-                        "check-ingest: FAIL — striping at 2 threads did not beat the \
-                         single-thread batched kernel ({s2:.0} <= {b1:.0} updates/s)"
-                    );
-                    ok = false;
-                }
-            }
-            _ => {
-                eprintln!("check-ingest: FAIL — crossover rows missing from measurement");
-                ok = false;
-            }
-        }
-    } else {
-        // Spell out both CPU counts so a skipped guard is auditable from
-        // the CI log alone: the detected count explains *why* this run
-        // skipped, the baseline's recorded count shows what the checked-in
-        // measurement ran on.
-        let base_cpus = json_f64_field(&baseline, "host_cpus")
-            .map_or_else(|| "unrecorded".to_string(), |c| format!("{c:.0}"));
-        println!(
-            "check-ingest: SKIPPED striped>batched crossover guard — single-CPU host: \
-             detected host_cpus = {} (baseline recorded host_cpus = {base_cpus}); \
-             the guard is enforced on multi-core runners",
-            meas.host_cpus
-        );
-    }
-    if ok {
-        println!("check-ingest: OK");
-    }
-    ok
 }

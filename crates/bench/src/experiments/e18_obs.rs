@@ -11,8 +11,8 @@
 //! sketch must cancel exactly and sample only the survivors), then reads
 //! the observed failure rates back out of a [`dgs_obs::Registry`] and
 //! compares them row by row against the stated bounds. The checked-in
-//! `BENCH_obs.json` baseline is guarded in CI by `experiments check-obs`:
-//! every observed rate must stay within 2x of its bound.
+//! `BENCH_obs.json` baseline is guarded in CI by `experiments check-obs`
+//! (see [`GUARD`] for the bound).
 //!
 //! Bounds used (documented in DESIGN.md, "Observability"):
 //!
@@ -31,14 +31,27 @@ use dgs_core::{
 use dgs_field::prng::*;
 use dgs_field::SeedTree;
 use dgs_hypergraph::fault::{FaultClass, FaultInjector};
-use dgs_hypergraph::generators::gnm;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
+use dgs_hypergraph::EdgeSpace;
 use dgs_obs::Registry;
 use dgs_sketch::{L0Params, L0Sampler, Profile};
+use dgs_trace::Tracer;
 
-use crate::baseline::{Baseline, Fields};
-use crate::report::Table;
-use crate::workloads::{default_stream, lean_forest};
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{gnm_churn, lean_forest, lean_forest_sketch, tiled_pairs, ScratchDir};
+
+/// `experiments e18` writes `BENCH_obs.json`; `check-obs` guards it: every
+/// observed failure rate against a multiple of its theoretical bound.
+pub const GUARD: Guard = Guard {
+    command: "check-obs",
+    file: "BENCH_obs.json",
+    verdict_field: Some("summary.all_within_2x"),
+    gates: &[Gate::row(
+        "rows[*].observed",
+        Cmp::Le,
+        Bound::Path("bound", 2.0),
+    )],
+    measure: |quick| document(&measure(quick)),
+};
 
 /// One empirical-vs-theoretical comparison row.
 pub struct RateRow {
@@ -58,13 +71,6 @@ pub struct RateRow {
     pub observed: f64,
     /// The theoretical bound δ (or δ^R) for this configuration.
     pub bound: f64,
-}
-
-impl RateRow {
-    /// The CI acceptance predicate: observed rate within 2x of the bound.
-    pub fn within_2x(&self) -> bool {
-        self.observed <= 2.0 * self.bound
-    }
 }
 
 /// Everything E18 measures.
@@ -167,8 +173,7 @@ fn boosted_rate(params: L0Params, reps: usize, trials: u64, seed: u64) -> (u64, 
     (answers + unknowns, unknowns)
 }
 
-/// Runs the measurement grid. Separated from [`run`] so the CI guard
-/// (`check-obs`) can re-measure without printing tables.
+/// Runs the measurement grid.
 pub fn measure(quick: bool) -> Measurement {
     let trials: u64 = if quick { 150 } else { 400 };
     let seed = 0xE18;
@@ -229,54 +234,11 @@ pub fn measure(quick: bool) -> Measurement {
     }
 }
 
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E18: observed failure rate vs theoretical bound (via dgs-obs counters)",
-        &[
-            "structure",
-            "rows",
-            "s",
-            "R",
-            "attempts",
-            "failures",
-            "observed",
-            "bound",
-            "<=2x",
-        ],
-    );
-    for r in &meas.rate_rows {
-        table.row(vec![
-            r.label.to_string(),
-            r.rows.to_string(),
-            r.sparsity.to_string(),
-            r.repetitions.to_string(),
-            r.attempts.to_string(),
-            r.failures.to_string(),
-            format!("{:.4}", r.observed),
-            format!("{:.4}", r.bound),
-            r.within_2x().to_string(),
-        ]);
-    }
-    table.note(format!(
-        "adversarial workload: {} inserts, {} cancelling deletes, net support {} \
-         (dimension {DIM}); {} trials per row",
-        SUPPORT + CHURN,
-        meas.churn,
-        meas.support,
-        meas.trials
-    ));
-    table.note("rates are read from dgs_sketch_l0_* / dgs_core_boost_* counters, not retallied");
-    table.note("bounds: starved δ = 1/2, boosted δ^R = 2^-R, Practical δ = 2^(-rows/2)");
-    table.print();
-    write_baseline(&meas);
-}
-
 /// `BENCH_obs.json` in the shared [`crate::baseline`] schema: a row per
-/// structure (`pass` = observed rate within 2x of its bound), summary
-/// `all_within_2x` for the CI guard.
-fn write_baseline(meas: &Measurement) {
-    let all_within = meas.rate_rows.iter().all(RateRow::within_2x);
+/// structure. Rates are read from `dgs_sketch_l0_*` / `dgs_core_boost_*`
+/// counters, not retallied; bounds: starved δ = 1/2, boosted δ^R = 2^-R,
+/// Practical δ = 2^(-rows/2).
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e18-obs").config(
         Fields::new()
             .u64("trials", meas.trials)
@@ -294,78 +256,31 @@ fn write_baseline(meas: &Measurement) {
                 .u64("failures", r.failures)
                 .f64("observed", r.observed, 6)
                 .f64("bound", r.bound, 6),
-            r.within_2x(),
         );
     }
-    b.summary(Fields::new().bool("all_within_2x", all_within), all_within)
-        .write("BENCH_obs.json");
-}
-
-/// CI guard: the checked-in baseline must declare every row within 2x of
-/// its bound, and a fresh quick re-measurement must agree. Returns `false`
-/// on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-obs: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if !baseline.contains("\"all_within_2x\": true") {
-        eprintln!("check-obs: FAIL — checked-in {baseline_path} records a bound violation");
-        ok = false;
-    }
-    let meas = measure(true);
-    for r in &meas.rate_rows {
-        println!(
-            "check-obs: {} R={}: observed {:.4} vs bound {:.4} (ceiling {:.4})",
-            r.label,
-            r.repetitions,
-            r.observed,
-            r.bound,
-            2.0 * r.bound
-        );
-        if !r.within_2x() {
-            eprintln!(
-                "check-obs: FAIL — {} R={} observed failure rate {:.4} exceeds 2x its \
-                 theoretical bound {:.4}",
-                r.label, r.repetitions, r.observed, r.bound
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("check-obs: OK");
-    }
-    ok
+    b
 }
 
 /// `experiments obs-report` — drives one representative workload through
 /// every instrumented subsystem (forest batch ingest + decode, the sharded
-/// boosted ingestor, WAL + checkpoint + recovery, fault injection) with a
-/// single traced registry attached, then dumps the registry in Prometheus
-/// text format followed by the JSON export.
+/// boosted ingestor, WAL + checkpoint + recovery, fault injection) under a
+/// single registry and one `dgs_trace` root span, then dumps the registry in
+/// Prometheus text format, the JSON export, and the root's span tree.
 pub fn obs_report(quick: bool) {
     let n: usize = if quick { 32 } else { 64 };
     let seed = 0x0B5;
-    let registry = Registry::with_trace(256);
+    let registry = Registry::new();
     let sink = registry.sink();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnm(n, 3 * n, &mut rng));
-    let stream = default_stream(&h, &mut rng);
-    let pairs: Vec<(HyperEdge, i64)> = stream
-        .updates
-        .iter()
-        .map(|u| (u.edge.clone(), u.op.delta()))
-        .collect();
+    let tracer = Tracer::with_sink(256, &sink);
+    let root = tracer.root("dgs_bench_obs_report");
+    let trace_id = root.trace_id();
+    let stream = gnm_churn(n, 3 * n, seed);
+    let pairs = tiled_pairs(&stream, stream.len());
 
     // Forest sketch: batched ingest and a decode, feeding the sketch-layer
     // and connectivity-layer counters.
     let space = EdgeSpace::graph(n).unwrap();
-    let mut sketch =
-        SpanningForestSketch::new_full(space.clone(), &SeedTree::new(seed), lean_forest());
+    let mut sketch = lean_forest_sketch(n, seed);
     sketch.set_sink(&sink);
     for chunk in pairs.chunks(256) {
         sketch.try_update_batch(chunk).expect("batched update");
@@ -385,20 +300,15 @@ pub fn obs_report(quick: bool) {
     let _ = ingestor.finish().expect("sharded finish");
 
     // Durability: WAL appends, a forced snapshot, and a recovery pass.
-    let dirs = std::env::temp_dir().join(format!("dgs-obs-report-{}", std::process::id()));
+    let dirs = ScratchDir::new("obs-report");
     let (wal_dir, snap_dir) = (dirs.join("wal"), dirs.join("snap"));
-    let _ = std::fs::remove_dir_all(&dirs);
-    let cfg = CheckpointConfig::default();
-    let fresh = |n: usize, _max_rank: usize| {
-        let space = EdgeSpace::graph(n).unwrap();
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed ^ 0xC0), lean_forest())
-    };
+    let fresh = |n: usize, _max_rank: usize| lean_forest_sketch(n, seed ^ 0xC0);
     let mut durable = CheckpointedIngestor::create(
         &wal_dir,
         &snap_dir,
         n,
         stream.max_rank,
-        cfg,
+        CheckpointConfig::default(),
         fresh(n, stream.max_rank),
     )
     .expect("create durable ingestor");
@@ -414,7 +324,6 @@ pub fn obs_report(quick: bool) {
     let _ = driver
         .recover::<SpanningForestSketch, _>(fresh)
         .expect("recover");
-    let _ = std::fs::remove_dir_all(&dirs);
 
     // Fault injection: one labelled counter bump per class.
     let mut injector = FaultInjector::new(seed);
@@ -422,8 +331,10 @@ pub fn obs_report(quick: bool) {
     for class in FaultClass::ALL {
         let _ = injector.inject(&stream, class);
     }
+    root.finish();
 
     println!("# obs-report: {} updates over n = {n}", pairs.len());
     println!("{}", registry.to_prometheus());
     println!("{}", registry.to_json());
+    print!("{}", tracer.snapshot().render_tree(trace_id));
 }

@@ -25,7 +25,7 @@
 //! ground truth (union-find over the applied prefix). The scored outputs:
 //!
 //! * **availability** — fraction of queries answered (Full or Degraded)
-//!   within the deadline; the acceptance bar is ≥ 99% with faults active;
+//!   within the deadline, with faults active;
 //! * **silent-wrong answers** — answered values disagreeing with ground
 //!   truth; the bar is **zero**;
 //! * **degraded-answer fraction** and the `effective_delta` the degraded
@@ -35,31 +35,39 @@
 //!   to a WAL replay from scratch — the linearity guarantee that rebuilds
 //!   converge exactly.
 //!
-//! `experiments check-chaos` re-runs the quick campaign in CI and fails on
-//! any silent-wrong answer, availability below the bar, or a byte-identity
-//! violation (guarding the checked-in `BENCH_chaos.json`).
+//! `experiments check-chaos` re-runs the quick campaign in CI against the
+//! bars in [`GUARD`] (guarding the checked-in `BENCH_chaos.json`).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     CheckpointConfig, QueryBudget, Recoverable, SupervisedAnswer, SupervisedIngestor,
     SupervisorConfig,
 };
-use dgs_field::prng::*;
-use dgs_field::{Codec, SeedTree, Writer};
-use dgs_hypergraph::algo::UnionFind;
-use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{
-    ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, HyperEdge, Hypergraph, Update,
-};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, HyperEdge, Update};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 
-use crate::baseline::{Baseline, Fields};
-use crate::report::Table;
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{encoded, practical_forests, soak_updates, LiveEdges, ScratchDir};
+
+/// `experiments e20` writes `BENCH_chaos.json`; `check-chaos` guards it:
+/// silent-wrong answers, availability with faults active, and every shard
+/// byte-identical to a WAL replay after the soak.
+pub const GUARD: Guard = Guard {
+    command: "check-chaos",
+    file: "BENCH_chaos.json",
+    verdict_field: Some("summary.acceptable"),
+    gates: &[
+        Gate::summary("summary.silent_wrong", Cmp::Eq, Bound::Num(0.0)),
+        Gate::summary("summary.availability", Cmp::Ge, Bound::Num(0.99)),
+        Gate::summary("summary.bit_identical", Cmp::Eq, Bound::TRUE),
+    ],
+    measure: |quick| document(&measure(quick)),
+};
 
 /// Everything E20 measures.
 pub struct Measurement {
@@ -99,43 +107,14 @@ pub struct Measurement {
     pub worst_effective_delta: f64,
     /// Every shard bit-identical to a from-scratch WAL replay at the end.
     pub bit_identical: bool,
-}
-
-impl Measurement {
     /// answered / queries.
-    pub fn availability(&self) -> f64 {
-        if self.queries == 0 {
-            1.0
-        } else {
-            self.answered as f64 / self.queries as f64
-        }
-    }
-
+    pub availability: f64,
     /// degraded / answered.
-    pub fn degraded_fraction(&self) -> f64 {
-        if self.answered == 0 {
-            0.0
-        } else {
-            self.degraded as f64 / self.answered as f64
-        }
-    }
-
-    /// The CI acceptance predicate.
-    pub fn acceptable(&self) -> bool {
-        self.silent_wrong == 0 && self.availability() >= 0.99 && self.bit_identical
-    }
+    pub degraded_fraction: f64,
 }
 
 const QUERY_EVERY: usize = 100;
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted campaign: every fault class fires at deterministic update
 /// indices inside the first 85% of the stream, leaving a clean tail for
@@ -234,62 +213,21 @@ fn corrupt_snapshots(dir: &std::path::Path) {
     }
 }
 
-/// Exact component count of the applied prefix: union-find over the live
-/// edge multiset (a hyperedge merges all its vertices). Shared with E21's
-/// service soak, which verifies answers at frozen epochs the same way.
-pub(crate) fn exact_components(n: usize, live_edges: &BTreeMap<HyperEdge, i64>) -> usize {
-    let mut uf = UnionFind::new(n);
-    for (e, &mult) in live_edges {
-        if mult <= 0 {
-            continue;
-        }
-        let vs = e.vertices();
-        for w in vs.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-    }
-    uf.component_count()
-}
-
-/// Runs the soak. Separated from [`run`] so the CI guard (`check-chaos`)
-/// can re-measure without printing tables.
+/// Runs the soak. Every `QUERY_EVERY` updates a majority-vote component
+/// count runs under a 250 ms deadline and is checked against exact ground
+/// truth; after the soak every shard is compared with a from-scratch WAL
+/// replay.
 pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 24 } else { 32 };
     let repetitions: usize = if quick { 3 } else { 5 };
     let seed: u64 = 0xE20;
 
     // Workload: a churn stream with real deletions, repeated to soak length.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
-    let base = churn_stream(
-        &h,
-        ChurnConfig {
-            noise_ratio: 1.0,
-            churn_ratio: 0.5,
-        },
-        &mut rng,
-    );
-    let cycles = if quick { 4 } else { 10 };
-    let mut updates: Vec<Update> = Vec::with_capacity(base.updates.len() * cycles);
-    for cycle in 0..cycles {
-        if cycle % 2 == 0 {
-            updates.extend(base.updates.iter().cloned());
-        } else {
-            // Unwind the cycle so multiplicities return to zero before the
-            // next pass: replay in reverse with flipped ops.
-            for u in base.updates.iter().rev() {
-                updates.push(match u.op {
-                    dgs_hypergraph::Op::Insert => Update::delete(u.edge.clone()),
-                    dgs_hypergraph::Op::Delete => Update::insert(u.edge.clone()),
-                });
-            }
-        }
-    }
+    let updates = soak_updates(n, seed, if quick { 4 } else { 10 });
     let len = updates.len();
 
-    let dirs = std::env::temp_dir().join(format!("dgs-e20-{}-{seed}", std::process::id()));
+    let dirs = ScratchDir::new("e20");
     let (wal_dir, snap_dir) = (dirs.join("wal"), dirs.join("snap"));
-    let _ = std::fs::remove_dir_all(&dirs);
 
     let cfg = SupervisorConfig {
         repetitions,
@@ -311,16 +249,10 @@ pub fn measure(quick: bool) -> Measurement {
         ..SupervisorConfig::default()
     };
     let registry = Registry::new();
-    let build = forest_build(n, seed ^ 0xB00);
-    let mut sup: SupervisedIngestor<SpanningForestSketch> = SupervisedIngestor::create(
-        &wal_dir,
-        &snap_dir,
-        n,
-        2,
-        cfg,
-        forest_build(n, seed ^ 0xB00),
-    )
-    .expect("create supervised ingestor");
+    let build = practical_forests(n, seed ^ 0xB00);
+    let mut sup: SupervisedIngestor<SpanningForestSketch> =
+        SupervisedIngestor::create(&wal_dir, &snap_dir, n, 2, cfg, build)
+            .expect("create supervised ingestor");
     sup.set_sink(&registry.sink());
 
     let camp = campaign(seed, len, repetitions, true);
@@ -336,7 +268,7 @@ pub fn measure(quick: bool) -> Measurement {
         max_decode_steps: None,
     };
 
-    let mut live_edges: BTreeMap<HyperEdge, i64> = BTreeMap::new();
+    let mut live = LiveEdges::default();
     let mut queries = 0u64;
     let mut answered = 0u64;
     let mut degraded = 0u64;
@@ -376,15 +308,9 @@ pub fn measure(quick: bool) -> Measurement {
                     // resume, and re-push whatever the tear swallowed.
                     drop(sup);
                     tear_wal_tail(&wal_dir, bytes);
-                    let (resumed, durable) = SupervisedIngestor::resume(
-                        &wal_dir,
-                        &snap_dir,
-                        n,
-                        2,
-                        cfg,
-                        forest_build(n, seed ^ 0xB00),
-                    )
-                    .expect("resume after torn tail");
+                    let (resumed, durable) =
+                        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, 2, cfg, build)
+                            .expect("resume after torn tail");
                     sup = resumed;
                     sup.set_sink(&registry.sink());
                     torn_tail_resumes += 1;
@@ -408,12 +334,12 @@ pub fn measure(quick: bool) -> Measurement {
         let u = &updates[pos];
         sup.push(u).expect("push");
         pushed += 1;
-        *live_edges.entry(u.edge.clone()).or_insert(0) += u.op.delta();
+        live.apply(u);
         pos += 1;
 
         if pos.is_multiple_of(QUERY_EVERY) {
             queries += 1;
-            let truth = exact_components(n, &live_edges);
+            let truth = live.components(n);
             let answer = sup
                 .query_majority(&budget, |shard, s: &SpanningForestSketch| {
                     let left = stalls.borrow().get(&shard).copied().unwrap_or(0);
@@ -464,13 +390,11 @@ pub fn measure(quick: bool) -> Measurement {
         for u in &replay.updates {
             reference.apply_update(u).expect("reference apply");
         }
-        let mut w = Writer::new();
-        reference.encode(&mut w);
-        w.into_bytes() == sup.shard_encoded(i)
+        encoded(&reference) == sup.shard_encoded(i)
     });
 
     let rebuild_stats = registry.histogram_stats("dgs_core_supervise_rebuild_ns");
-    let meas = Measurement {
+    Measurement {
         n,
         repetitions,
         updates: pushed,
@@ -495,79 +419,22 @@ pub fn measure(quick: bool) -> Measurement {
         rebuild_max_ns: rebuild_stats.as_ref().map_or(0, |s| s.quantile(1.0)),
         worst_effective_delta,
         bit_identical,
-    };
-    let _ = std::fs::remove_dir_all(&dirs);
-    meas
-}
-
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E20: self-healing soak under a deterministic chaos campaign",
-        &["metric", "value"],
-    );
-    let rows: Vec<(&str, String)> = vec![
-        (
-            "workload",
-            format!(
-                "n = {}, R = {}, {} updates, {} chaos events",
-                meas.n, meas.repetitions, meas.updates, meas.events
-            ),
-        ),
-        ("queries", meas.queries.to_string()),
-        (
-            "availability",
-            format!(
-                "{:.4} ({} answered, {} unknown, {} deadline-missed)",
-                meas.availability(),
-                meas.answered,
-                meas.unknown,
-                meas.deadline_missed
-            ),
-        ),
-        (
-            "degraded fraction",
-            format!(
-                "{:.4} ({} degraded; worst effective delta {:.4})",
-                meas.degraded_fraction(),
-                meas.degraded,
-                meas.worst_effective_delta
-            ),
-        ),
-        ("silent-wrong answers", meas.silent_wrong.to_string()),
-        (
-            "quarantines / rebuilds",
-            format!("{} / {}", meas.quarantines, meas.rebuilds),
-        ),
-        ("scrub mismatches caught", meas.scrub_mismatches.to_string()),
-        ("torn-tail resumes", meas.torn_tail_resumes.to_string()),
-        (
-            "rebuild latency",
-            format!(
-                "p50 {:.2} ms, max {:.2} ms",
-                meas.rebuild_p50_ns as f64 / 1e6,
-                meas.rebuild_max_ns as f64 / 1e6
-            ),
-        ),
-        ("final byte-identity", meas.bit_identical.to_string()),
-    ];
-    for (k, v) in rows {
-        table.row(vec![k.to_string(), v]);
+        availability: if queries == 0 {
+            1.0
+        } else {
+            answered as f64 / queries as f64
+        },
+        degraded_fraction: if answered == 0 {
+            0.0
+        } else {
+            degraded as f64 / answered as f64
+        },
     }
-    table.note("queries are majority-vote component counts under a 250 ms deadline");
-    table.note("byte-identity: every shard vs a from-scratch WAL replay after the soak");
-    table.note(format!(
-        "acceptance: zero silent-wrong, availability >= 0.99, byte-identical — {}",
-        if meas.acceptable() { "PASS" } else { "FAIL" }
-    ));
-    table.print();
-    write_baseline(&meas);
 }
 
 /// `BENCH_chaos.json` in the shared [`crate::baseline`] schema: the soak is
-/// one aggregate measurement, so all counters live in `summary` (no rows);
-/// `pass` = the [`Measurement::acceptable`] predicate.
-fn write_baseline(meas: &Measurement) {
+/// one aggregate measurement, so all counters live in `summary` (no rows).
+pub fn document(meas: &Measurement) -> Baseline {
     Baseline::new("e20-chaos")
         .config(
             Fields::new()
@@ -584,8 +451,8 @@ fn write_baseline(meas: &Measurement) {
                 .u64("unknown", meas.unknown)
                 .u64("deadline_missed", meas.deadline_missed)
                 .u64("silent_wrong", meas.silent_wrong)
-                .f64("availability", meas.availability(), 6)
-                .f64("degraded_fraction", meas.degraded_fraction(), 6)
+                .f64("availability", meas.availability, 6)
+                .f64("degraded_fraction", meas.degraded_fraction, 6)
                 .f64("worst_effective_delta", meas.worst_effective_delta, 6)
                 .u64("quarantines", meas.quarantines)
                 .u64("rebuilds", meas.rebuilds)
@@ -593,59 +460,6 @@ fn write_baseline(meas: &Measurement) {
                 .u64("torn_tail_resumes", meas.torn_tail_resumes)
                 .u64("rebuild_p50_ns", meas.rebuild_p50_ns)
                 .u64("rebuild_max_ns", meas.rebuild_max_ns)
-                .bool("bit_identical", meas.bit_identical)
-                .bool("acceptable", meas.acceptable()),
-            meas.acceptable(),
+                .bool("bit_identical", meas.bit_identical),
         )
-        .write("BENCH_chaos.json");
-}
-
-/// CI guard: the checked-in baseline must be acceptable, and a fresh quick
-/// soak must be too. Returns `false` on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-chaos: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if !baseline.contains("\"acceptable\": true") {
-        eprintln!("check-chaos: FAIL — checked-in {baseline_path} records an unacceptable soak");
-        ok = false;
-    }
-    let meas = measure(true);
-    println!(
-        "check-chaos: availability {:.4}, silent-wrong {}, degraded {:.4}, \
-         quarantines {}, rebuilds {}, byte-identical {}",
-        meas.availability(),
-        meas.silent_wrong,
-        meas.degraded_fraction(),
-        meas.quarantines,
-        meas.rebuilds,
-        meas.bit_identical
-    );
-    if meas.silent_wrong > 0 {
-        eprintln!(
-            "check-chaos: FAIL — {} silent-wrong answers (the bar is zero)",
-            meas.silent_wrong
-        );
-        ok = false;
-    }
-    if meas.availability() < 0.99 {
-        eprintln!(
-            "check-chaos: FAIL — availability {:.4} below the 0.99 bar",
-            meas.availability()
-        );
-        ok = false;
-    }
-    if !meas.bit_identical {
-        eprintln!("check-chaos: FAIL — a shard did not converge byte-identical after rebuild");
-        ok = false;
-    }
-    if ok {
-        println!("check-chaos: OK");
-    }
-    ok
 }

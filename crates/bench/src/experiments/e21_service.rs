@@ -32,42 +32,78 @@
 //!   separately and are fine);
 //! * **ingest ratio** — under-load updates/sec over baseline updates/sec
 //!   (load-spike bursts, which block the driving thread by design, are
-//!   excluded from the timed window); the write path must keep ≥ 80% of
-//!   its no-query throughput in full mode (the quick CI floor is lower to
-//!   absorb 2-core runner noise);
+//!   excluded from the timed window), held to a mode-dependent floor the
+//!   row records (the quick CI floor is lower to absorb 2-core runner
+//!   noise);
 //! * **typed accounting** — attempted = admitted + rejected, per rejection
 //!   class, with at least one quota rejection (the spikes guarantee it)
 //!   and at least one degraded answer (the poisoning guarantees it);
 //! * **bounded queues** — the sampled in-flight depth never exceeds
 //!   `queue_capacity` plus the transient reserve-then-check overshoot.
 //!
-//! `experiments check-service` re-runs the quick soak in CI and fails on
-//! any silent-wrong answer, any deadline overrun, a throughput ratio below
-//! the floor, or missing degradation/shed coverage (guarding the
-//! checked-in `BENCH_service.json`).
+//! `experiments check-service` re-runs the quick soak in CI against
+//! [`GUARD`] (guarding the checked-in `BENCH_service.json`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     BrownoutConfig, CheckpointConfig, ConnectivityService, Overload, QueryPolicy, QueryRequest,
     ServiceConfig, ServiceError, SupervisedAnswer, SupervisorConfig, TokenBucketConfig,
 };
-use dgs_field::prng::*;
-use dgs_field::SeedTree;
-use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{
-    ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, HyperEdge, Hypergraph, Update,
-};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 
-use super::e20_chaos::exact_components;
-use crate::baseline::{summary_pass, Baseline, Fields};
-use crate::report::Table;
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{practical_forests, soak_updates, LiveEdges, ScratchDir};
+
+/// `experiments e21` writes `BENCH_service.json`; `check-service` guards
+/// it. The queue bound allows the transient reserve-then-check overshoot
+/// of one slot per worker plus one.
+pub const GUARD: Guard = Guard {
+    command: "check-service",
+    file: "BENCH_service.json",
+    verdict_field: Some("summary.acceptable"),
+    gates: &[
+        Gate::row(
+            "rows[aspect=ingest].ingest_ratio",
+            Cmp::Ge,
+            Bound::Path("floor", 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=admission].attempted",
+            Cmp::Eq,
+            Bound::Sum(&["admitted", "summary.rejected_total"], 0.0),
+        ),
+        Gate::row(
+            "rows[aspect=admission].max_queue_depth",
+            Cmp::Le,
+            Bound::Sum(&["config.queue_capacity", "config.workers"], 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=honesty].silent_wrong",
+            Cmp::Eq,
+            Bound::Num(0.0),
+        ),
+        Gate::row(
+            "rows[aspect=honesty].deadline_overruns",
+            Cmp::Eq,
+            Bound::Num(0.0),
+        ),
+        Gate::summary("rows[aspect=honesty].answered", Cmp::Gt, Bound::Num(0.0)),
+        Gate::summary("summary.degraded", Cmp::Gt, Bound::Num(0.0)),
+        Gate::summary(
+            "rows[aspect=admission].rejected_quota",
+            Cmp::Gt,
+            Bound::Num(0.0),
+        ),
+    ],
+    measure: |quick| document(&measure(quick)),
+};
 
 /// Everything E21 measures.
 pub struct Measurement {
@@ -118,39 +154,10 @@ pub struct Measurement {
     pub max_queue_depth: usize,
     /// Admitted + rejected per loaded second.
     pub queries_per_sec: f64,
-}
-
-impl Measurement {
     /// loaded / baseline updates per second.
-    pub fn ingest_ratio(&self) -> f64 {
-        if self.baseline_updates_per_sec <= 0.0 {
-            0.0
-        } else {
-            self.loaded_updates_per_sec / self.baseline_updates_per_sec
-        }
-    }
-
+    pub ingest_ratio: f64,
     /// Every typed rejection, across rungs.
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_queue_full
-            + self.rejected_quota
-            + self.rejected_circuit_open
-            + self.rejected_cost
-    }
-
-    /// The CI acceptance predicate: zero silent-wrong, zero deadline
-    /// overruns, ingest holds the floor, queues stayed bounded, and the
-    /// soak actually exercised degradation and typed shedding.
-    pub fn acceptable(&self) -> bool {
-        self.silent_wrong == 0
-            && self.deadline_overruns == 0
-            && self.ingest_ratio() >= self.ingest_floor
-            && self.max_queue_depth <= self.queue_capacity + self.workers + 1
-            && self.attempted == self.admitted + self.rejected_total()
-            && self.answered > 0
-            && self.degraded > 0
-            && self.rejected_quota > 0
-    }
+    pub rejected_total: u64,
 }
 
 /// Latency slack added to the requested deadline before an admitted query
@@ -159,14 +166,6 @@ impl Measurement {
 /// wall — honest `DeadlineExceeded` is the verdict for those, not silence.
 const OVERRUN_TOLERANCE: Duration = Duration::from_millis(150);
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted load campaign. Spikes are sized to exhaust the token
 /// bucket deterministically (each majority query in a burst charges R
@@ -245,8 +244,9 @@ fn reject_index(o: &Overload) -> usize {
     }
 }
 
-/// Runs the soak. Separated from [`run`] so the CI guard (`check-service`)
-/// can re-measure without printing tables.
+/// Runs the soak. Answers are verified against exact ground truth at each
+/// response's frozen epoch; spike bursts block the driving thread and are
+/// excluded from the throughput window.
 pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 24 } else { 32 };
     let repetitions: usize = if quick { 3 } else { 5 };
@@ -265,40 +265,17 @@ pub fn measure(quick: bool) -> Measurement {
     // Quick runs share small CI runners with the query workers and a much
     // shorter soak amplifies scheduler noise, so the quick floor only has
     // to catch the catastrophic regression (queries blocking the write
-    // path); the full soak must hold the headline 80% floor.
+    // path); the full soak must hold the headline floor.
     let ingest_floor = if quick { 0.35 } else { 0.8 };
     let seed: u64 = 0xE21;
     let deadline = Duration::from_millis(250);
 
     // Workload: the E20 churn-cycle construction — real deletions, edge
     // multiplicities returning to zero between cycles.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
-    let base = churn_stream(
-        &h,
-        ChurnConfig {
-            noise_ratio: 1.0,
-            churn_ratio: 0.5,
-        },
-        &mut rng,
-    );
-    let mut updates: Vec<Update> = Vec::with_capacity(base.updates.len() * cycles);
-    for cycle in 0..cycles {
-        if cycle % 2 == 0 {
-            updates.extend(base.updates.iter().cloned());
-        } else {
-            for u in base.updates.iter().rev() {
-                updates.push(match u.op {
-                    dgs_hypergraph::Op::Insert => Update::delete(u.edge.clone()),
-                    dgs_hypergraph::Op::Delete => Update::insert(u.edge.clone()),
-                });
-            }
-        }
-    }
+    let updates = soak_updates(n, seed, cycles);
     let len = updates.len();
 
-    let dirs = std::env::temp_dir().join(format!("dgs-e21-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dirs);
+    let dirs = ScratchDir::new("e21");
 
     let sup_cfg = SupervisorConfig {
         repetitions,
@@ -356,7 +333,7 @@ pub fn measure(quick: bool) -> Measurement {
                 n,
                 2,
                 sup_cfg,
-                forest_build(n, seed ^ 0xB00),
+                practical_forests(n, seed ^ 0xB00),
             )
             .expect("add baseline tenant");
             let t0 = Instant::now();
@@ -382,7 +359,7 @@ pub fn measure(quick: bool) -> Measurement {
         n,
         2,
         sup_cfg,
-        forest_build(n, seed ^ 0xB00),
+        practical_forests(n, seed ^ 0xB00),
     )
     .expect("add load tenant");
 
@@ -521,15 +498,14 @@ pub fn measure(quick: bool) -> Measurement {
     epochs.sort_unstable();
     epochs.dedup();
     let mut truth: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut live: BTreeMap<HyperEdge, i64> = BTreeMap::new();
+    let mut live = LiveEdges::default();
     let mut idx = 0usize;
     for &e in &epochs {
         while idx < e as usize {
-            let u = &updates[idx];
-            *live.entry(u.edge.clone()).or_insert(0) += u.op.delta();
+            live.apply(&updates[idx]);
             idx += 1;
         }
-        truth.insert(e, exact_components(n, &live));
+        truth.insert(e, live.components(n));
     }
 
     let mut answered = 0u64;
@@ -566,7 +542,7 @@ pub fn measure(quick: bool) -> Measurement {
         .counter_value("dgs_core_service_shed_repetitions{tenant=\"t0\"}")
         .unwrap_or(0);
 
-    let _ = std::fs::remove_dir_all(&dirs);
+    let loaded_updates_per_sec = len as f64 / loaded_secs;
     Measurement {
         n,
         repetitions,
@@ -575,7 +551,7 @@ pub fn measure(quick: bool) -> Measurement {
         workers,
         queue_capacity: svc_cfg.queue_capacity,
         baseline_updates_per_sec,
-        loaded_updates_per_sec: len as f64 / loaded_secs,
+        loaded_updates_per_sec,
         ingest_floor,
         attempted,
         admitted,
@@ -593,96 +569,19 @@ pub fn measure(quick: bool) -> Measurement {
         worst_effective_delta,
         max_queue_depth,
         queries_per_sec: attempted as f64 / loaded_secs.max(1e-9),
+        ingest_ratio: if baseline_updates_per_sec <= 0.0 {
+            0.0
+        } else {
+            loaded_updates_per_sec / baseline_updates_per_sec
+        },
+        rejected_total: rejected.iter().sum(),
     }
-}
-
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E21: service queries/sec under sustained ingest (overload ladder)",
-        &["metric", "value"],
-    );
-    let rows: Vec<(&str, String)> = vec![
-        (
-            "workload",
-            format!(
-                "n = {}, R = {}, {} updates, {} workers, {} chaos events",
-                meas.n, meas.repetitions, meas.updates, meas.workers, meas.events
-            ),
-        ),
-        (
-            "ingest throughput",
-            format!(
-                "{:.0} -> {:.0} updates/s under load (ratio {:.3}, floor {:.2})",
-                meas.baseline_updates_per_sec,
-                meas.loaded_updates_per_sec,
-                meas.ingest_ratio(),
-                meas.ingest_floor
-            ),
-        ),
-        (
-            "queries",
-            format!(
-                "{} attempted = {} admitted + {} rejected ({:.0}/s)",
-                meas.attempted,
-                meas.admitted,
-                meas.rejected_total(),
-                meas.queries_per_sec
-            ),
-        ),
-        (
-            "typed rejections",
-            format!(
-                "queue-full {}, quota {}, circuit-open {}, cost {}",
-                meas.rejected_queue_full,
-                meas.rejected_quota,
-                meas.rejected_circuit_open,
-                meas.rejected_cost
-            ),
-        ),
-        (
-            "answers",
-            format!(
-                "{} answered ({} degraded, worst delta {:.4}), {} unknown, {} deadline",
-                meas.answered,
-                meas.degraded,
-                meas.worst_effective_delta,
-                meas.unknown,
-                meas.deadline_honest
-            ),
-        ),
-        ("silent-wrong answers", meas.silent_wrong.to_string()),
-        ("deadline overruns", meas.deadline_overruns.to_string()),
-        (
-            "brownout shedding",
-            format!("{} repetitions shed", meas.shed_repetitions),
-        ),
-        (
-            "max in-flight depth",
-            format!(
-                "{} (capacity {})",
-                meas.max_queue_depth, meas.queue_capacity
-            ),
-        ),
-    ];
-    for (k, v) in rows {
-        table.row(vec![k.to_string(), v]);
-    }
-    table.note("answers verified against exact ground truth at each response's frozen epoch");
-    table.note("spike bursts block the driving thread and are excluded from the throughput window");
-    table.note(format!(
-        "acceptance: zero silent-wrong, zero overruns, ratio >= floor, bounded queues, \
-         degraded > 0, quota rejections > 0 — {}",
-        if meas.acceptable() { "PASS" } else { "FAIL" }
-    ));
-    table.print();
-    write_baseline(&meas);
 }
 
 /// `BENCH_service.json` in the shared [`crate::baseline`] schema: one row
 /// per scored aspect (throughput, accounting, honesty), counters and the
 /// overall verdict in `summary`.
-fn write_baseline(meas: &Measurement) {
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e21-service").config(
         Fields::new()
             .usize("n", meas.n)
@@ -697,9 +596,8 @@ fn write_baseline(meas: &Measurement) {
             .str("aspect", "ingest")
             .f64("baseline_updates_per_sec", meas.baseline_updates_per_sec, 1)
             .f64("loaded_updates_per_sec", meas.loaded_updates_per_sec, 1)
-            .f64("ingest_ratio", meas.ingest_ratio(), 4)
+            .f64("ingest_ratio", meas.ingest_ratio, 4)
             .f64("floor", meas.ingest_floor, 2),
-        meas.ingest_ratio() >= meas.ingest_floor,
     );
     b.row(
         Fields::new()
@@ -712,8 +610,6 @@ fn write_baseline(meas: &Measurement) {
             .u64("rejected_cost", meas.rejected_cost)
             .usize("max_queue_depth", meas.max_queue_depth)
             .f64("queries_per_sec", meas.queries_per_sec, 1),
-        meas.attempted == meas.admitted + meas.rejected_total()
-            && meas.max_queue_depth <= meas.queue_capacity + meas.workers + 1,
     );
     b.row(
         Fields::new()
@@ -726,89 +622,13 @@ fn write_baseline(meas: &Measurement) {
             .u64("deadline_overruns", meas.deadline_overruns)
             .u64("shed_repetitions", meas.shed_repetitions)
             .f64("worst_effective_delta", meas.worst_effective_delta, 6),
-        meas.silent_wrong == 0 && meas.deadline_overruns == 0,
     );
     b.summary(
         Fields::new()
-            .f64("ingest_ratio", meas.ingest_ratio(), 4)
+            .f64("ingest_ratio", meas.ingest_ratio, 4)
             .u64("silent_wrong", meas.silent_wrong)
             .u64("deadline_overruns", meas.deadline_overruns)
             .u64("degraded", meas.degraded)
-            .u64("rejected_total", meas.rejected_total())
-            .bool("acceptable", meas.acceptable()),
-        meas.acceptable(),
+            .u64("rejected_total", meas.rejected_total),
     )
-    .write("BENCH_service.json");
-}
-
-/// CI guard: the checked-in baseline must pass, and a fresh quick soak
-/// must be acceptable too. Returns `false` on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-service: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-service: FAIL — checked-in {baseline_path} records a failing soak");
-        ok = false;
-    }
-    let meas = measure(true);
-    println!(
-        "check-service: ratio {:.3} (floor {:.2}), {} admitted / {} attempted, \
-         silent-wrong {}, overruns {}, degraded {}, quota-rejected {}",
-        meas.ingest_ratio(),
-        meas.ingest_floor,
-        meas.admitted,
-        meas.attempted,
-        meas.silent_wrong,
-        meas.deadline_overruns,
-        meas.degraded,
-        meas.rejected_quota
-    );
-    if meas.silent_wrong > 0 {
-        eprintln!(
-            "check-service: FAIL — {} silent-wrong answers (the bar is zero)",
-            meas.silent_wrong
-        );
-        ok = false;
-    }
-    if meas.deadline_overruns > 0 {
-        eprintln!(
-            "check-service: FAIL — {} admitted queries blew deadline + tolerance",
-            meas.deadline_overruns
-        );
-        ok = false;
-    }
-    if meas.ingest_ratio() < meas.ingest_floor {
-        eprintln!(
-            "check-service: FAIL — ingest under load kept only {:.1}% of baseline \
-             (floor {:.0}%)",
-            meas.ingest_ratio() * 100.0,
-            meas.ingest_floor * 100.0
-        );
-        ok = false;
-    }
-    if meas.max_queue_depth > meas.queue_capacity + meas.workers + 1 {
-        eprintln!(
-            "check-service: FAIL — sampled in-flight depth {} exceeded capacity {} \
-             plus the transient reserve window",
-            meas.max_queue_depth, meas.queue_capacity
-        );
-        ok = false;
-    }
-    if meas.degraded == 0 || meas.rejected_quota == 0 {
-        eprintln!(
-            "check-service: FAIL — soak coverage missing (degraded {}, quota-rejected {})",
-            meas.degraded, meas.rejected_quota
-        );
-        ok = false;
-    }
-    if ok {
-        println!("check-service: OK");
-    }
-    ok
 }

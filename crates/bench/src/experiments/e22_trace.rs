@@ -24,34 +24,106 @@
 //! A separate phase measures **overhead**: the same stream is pushed
 //! through a bare [`SupervisedIngestor`] untraced and traced (tracing
 //! adds one root span per flush — never per update), best-of-trials on
-//! both sides; traced ingest must keep ≥ 95% of untraced throughput in
-//! full mode (the quick CI floor absorbs small-runner noise).
+//! both sides; the traced/untraced ratio is held to a mode-dependent
+//! floor the overhead row records (the quick CI floor absorbs
+//! small-runner noise).
 //!
-//! `experiments check-trace` re-runs the quick soak in CI and fails on
-//! any missing/duplicated root, orphan or evicted span, unaccounted
-//! postmortem, unreadable postmortem file, or an overhead ratio below
-//! the floor (guarding the checked-in `BENCH_trace.json`).
+//! `experiments check-trace` re-runs the quick soak in CI against
+//! [`GUARD`] (guarding the checked-in `BENCH_trace.json`).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     BreakerConfig, BrownoutConfig, CheckpointConfig, ConnectivityService, QueryPolicy,
     QueryRequest, ServiceConfig, ServiceError, SupervisedIngestor, SupervisorConfig,
     TokenBucketConfig,
 };
-use dgs_field::prng::*;
-use dgs_field::SeedTree;
-use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, Hypergraph, Update};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 use dgs_trace::{FlightRecorder, Postmortem, Tracer};
 
-use crate::baseline::{summary_pass, Baseline, Fields};
-use crate::report::Table;
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{practical_forests, soak_updates, ScratchDir};
+
+/// `experiments e22` writes `BENCH_trace.json`; `check-trace` guards it:
+/// one root per request, a clean snapshot, exact and readable postmortem
+/// accounting, and traced ingest above its floor.
+pub const GUARD: Guard = Guard {
+    command: "check-trace",
+    file: "BENCH_trace.json",
+    verdict_field: Some("summary.acceptable"),
+    gates: &[
+        Gate::row(
+            "rows[aspect=completeness].request_roots",
+            Cmp::Eq,
+            Bound::Path("requests", 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=completeness].distinct_trace_ids",
+            Cmp::Eq,
+            Bound::Path("requests", 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=completeness].flush_roots",
+            Cmp::Gt,
+            Bound::Num(0.0),
+        ),
+        Gate::row("rows[aspect=integrity].orphans", Cmp::Eq, Bound::Num(0.0)),
+        Gate::row("rows[aspect=integrity].evicted", Cmp::Eq, Bound::Num(0.0)),
+        Gate::row("rows[aspect=integrity].torn", Cmp::Eq, Bound::Num(0.0)),
+        Gate::row("rows[aspect=integrity].exemplars", Cmp::Gt, Bound::Num(0.0)),
+        Gate::row(
+            "rows[aspect=integrity].dangling_exemplars",
+            Cmp::Eq,
+            Bound::Num(0.0),
+        ),
+        Gate::row(
+            "rows[aspect=postmortems].written",
+            Cmp::Eq,
+            Bound::Path("expected", 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=postmortems].readable",
+            Cmp::Eq,
+            Bound::Path("written", 1.0),
+        ),
+        Gate::row(
+            "rows[aspect=postmortems].expected",
+            Cmp::Gt,
+            Bound::Num(0.0),
+        ),
+        Gate::row(
+            "rows[aspect=postmortems].with_tree",
+            Cmp::Gt,
+            Bound::Num(0.0),
+        ),
+        Gate::row(
+            "rows[aspect=overhead].overhead_ratio",
+            Cmp::Ge,
+            Bound::Path("floor", 1.0),
+        ),
+        Gate::summary(
+            "rows[aspect=postmortems].quarantines",
+            Cmp::Ge,
+            Bound::Num(1.0),
+        ),
+        Gate::summary(
+            "rows[aspect=postmortems].deadline_missed",
+            Cmp::Ge,
+            Bound::Num(1.0),
+        ),
+        Gate::summary(
+            "rows[aspect=postmortems].breaker_trips",
+            Cmp::Ge,
+            Bound::Num(1.0),
+        ),
+    ],
+    measure: |quick| document(&measure(quick)),
+};
 
 /// Everything E22 measures.
 pub struct Measurement {
@@ -99,52 +171,13 @@ pub struct Measurement {
     pub traced_updates_per_sec: f64,
     /// Acceptance floor for the overhead ratio (mode-dependent).
     pub overhead_floor: f64,
-}
-
-impl Measurement {
     /// traced / untraced updates per second.
-    pub fn overhead_ratio(&self) -> f64 {
-        if self.untraced_updates_per_sec <= 0.0 {
-            0.0
-        } else {
-            self.traced_updates_per_sec / self.untraced_updates_per_sec
-        }
-    }
-
+    pub overhead_ratio: f64,
     /// Expected postmortem count from the typed-failure counters.
-    pub fn expected_postmortems(&self) -> u64 {
-        self.quarantines + self.deadline_missed + self.breaker_trips
-    }
-
-    /// The CI acceptance predicate.
-    pub fn acceptable(&self) -> bool {
-        self.request_roots == self.requests
-            && self.distinct_trace_ids == self.requests
-            && self.flush_roots > 0
-            && self.orphans == 0
-            && self.evicted == 0
-            && self.torn == 0
-            && self.exemplars > 0
-            && self.dangling_exemplars == 0
-            && self.quarantines >= 1
-            && self.deadline_missed >= 1
-            && self.breaker_trips >= 1
-            && self.postmortems_written == self.expected_postmortems()
-            && self.postmortems_readable == self.postmortems_written
-            && self.postmortems_with_tree > 0
-            && self.overhead_ratio() >= self.overhead_floor
-    }
+    pub expected_postmortems: u64,
 }
 
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted failure campaign: a transient shard error (retry spans), a
 /// poisoning (quarantine postmortem), and a late stall burst sized to trip
@@ -188,8 +221,9 @@ fn sup_config(repetitions: usize, len: usize, seed: u64) -> SupervisorConfig {
     }
 }
 
-/// Runs the soak. Separated from [`run`] so the CI guard (`check-trace`)
-/// can re-measure without printing tables.
+/// Runs the soak. Every request opens one root span (typed rejections
+/// included, as marks inside the trace); postmortem accounting is exact:
+/// written == quarantines + deadlines + breaker trips.
 pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 24 } else { 32 };
     let repetitions: usize = if quick { 3 } else { 5 };
@@ -208,33 +242,10 @@ pub fn measure(quick: bool) -> Measurement {
     let deadline = Duration::from_millis(100);
 
     // Workload: the E20/E21 churn-cycle construction.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
-    let base = churn_stream(
-        &h,
-        ChurnConfig {
-            noise_ratio: 1.0,
-            churn_ratio: 0.5,
-        },
-        &mut rng,
-    );
-    let mut updates: Vec<Update> = Vec::with_capacity(base.updates.len() * cycles);
-    for cycle in 0..cycles {
-        if cycle % 2 == 0 {
-            updates.extend(base.updates.iter().cloned());
-        } else {
-            for u in base.updates.iter().rev() {
-                updates.push(match u.op {
-                    dgs_hypergraph::Op::Insert => Update::delete(u.edge.clone()),
-                    dgs_hypergraph::Op::Delete => Update::insert(u.edge.clone()),
-                });
-            }
-        }
-    }
+    let updates = soak_updates(n, seed, cycles);
     let len = updates.len();
 
-    let dirs = std::env::temp_dir().join(format!("dgs-e22-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dirs);
+    let dirs = ScratchDir::new("e22");
 
     let sup_cfg = sup_config(repetitions, len, seed);
     let svc_cfg = ServiceConfig {
@@ -280,7 +291,7 @@ pub fn measure(quick: bool) -> Measurement {
         n,
         2,
         sup_cfg,
-        forest_build(n, seed ^ 0xB00),
+        practical_forests(n, seed ^ 0xB00),
     )
     .expect("add tenant");
 
@@ -431,7 +442,7 @@ pub fn measure(quick: bool) -> Measurement {
                 n,
                 2,
                 sup_config(repetitions, len, seed),
-                forest_build(n, seed ^ 0x0FF),
+                practical_forests(n, seed ^ 0x0FF),
             )
             .expect("overhead ingestor");
             let overhead_tracer = Tracer::new(1 << 10);
@@ -455,7 +466,6 @@ pub fn measure(quick: bool) -> Measurement {
         }
     }
 
-    let _ = std::fs::remove_dir_all(&dirs);
     Measurement {
         n,
         repetitions,
@@ -479,86 +489,17 @@ pub fn measure(quick: bool) -> Measurement {
         untraced_updates_per_sec,
         traced_updates_per_sec,
         overhead_floor,
+        overhead_ratio: if untraced_updates_per_sec <= 0.0 {
+            0.0
+        } else {
+            traced_updates_per_sec / untraced_updates_per_sec
+        },
+        expected_postmortems: quarantines + deadline_missed + breaker_trips,
     }
-}
-
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E22: request tracing, flight recorder, traced-ingest overhead",
-        &["metric", "value"],
-    );
-    let rows: Vec<(&str, String)> = vec![
-        (
-            "workload",
-            format!(
-                "n = {}, R = {}, {} updates, {} chaos events, {} requests",
-                meas.n, meas.repetitions, meas.updates, meas.events, meas.requests
-            ),
-        ),
-        (
-            "root spans",
-            format!(
-                "{} request roots / {} requests ({} distinct trace ids), {} flush roots",
-                meas.request_roots, meas.requests, meas.distinct_trace_ids, meas.flush_roots
-            ),
-        ),
-        (
-            "integrity",
-            format!(
-                "{} orphans, {} evicted, {} torn",
-                meas.orphans, meas.evicted, meas.torn
-            ),
-        ),
-        (
-            "exemplars",
-            format!("{} ({} dangling)", meas.exemplars, meas.dangling_exemplars),
-        ),
-        (
-            "typed failures",
-            format!(
-                "{} quarantines, {} deadline-exceeded, {} breaker trips",
-                meas.quarantines, meas.deadline_missed, meas.breaker_trips
-            ),
-        ),
-        (
-            "postmortems",
-            format!(
-                "{} written (expected {}), {} readable, {} with span tree",
-                meas.postmortems_written,
-                meas.expected_postmortems(),
-                meas.postmortems_readable,
-                meas.postmortems_with_tree
-            ),
-        ),
-        (
-            "ingest overhead",
-            format!(
-                "{:.0} untraced -> {:.0} traced updates/s (ratio {:.3}, floor {:.2})",
-                meas.untraced_updates_per_sec,
-                meas.traced_updates_per_sec,
-                meas.overhead_ratio(),
-                meas.overhead_floor
-            ),
-        ),
-    ];
-    for (k, v) in rows {
-        table.row(vec![k.to_string(), v]);
-    }
-    table.note("one root span per request — typed rejections included, as marks inside the trace");
-    table
-        .note("postmortem accounting is exact: written == quarantines + deadlines + breaker trips");
-    table.note(format!(
-        "acceptance: roots == requests (distinct ids), zero orphans/evictions/torn reads, \
-         exact postmortems all readable, overhead ratio >= floor — {}",
-        if meas.acceptable() { "PASS" } else { "FAIL" }
-    ));
-    table.print();
-    write_baseline(&meas);
 }
 
 /// `BENCH_trace.json` in the shared [`crate::baseline`] schema.
-fn write_baseline(meas: &Measurement) {
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e22-trace").config(
         Fields::new()
             .usize("n", meas.n)
@@ -573,9 +514,6 @@ fn write_baseline(meas: &Measurement) {
             .u64("request_roots", meas.request_roots)
             .u64("distinct_trace_ids", meas.distinct_trace_ids)
             .u64("flush_roots", meas.flush_roots),
-        meas.request_roots == meas.requests
-            && meas.distinct_trace_ids == meas.requests
-            && meas.flush_roots > 0,
     );
     b.row(
         Fields::new()
@@ -585,11 +523,6 @@ fn write_baseline(meas: &Measurement) {
             .u64("torn", meas.torn)
             .u64("exemplars", meas.exemplars)
             .u64("dangling_exemplars", meas.dangling_exemplars),
-        meas.orphans == 0
-            && meas.evicted == 0
-            && meas.torn == 0
-            && meas.exemplars > 0
-            && meas.dangling_exemplars == 0,
     );
     b.row(
         Fields::new()
@@ -597,23 +530,18 @@ fn write_baseline(meas: &Measurement) {
             .u64("quarantines", meas.quarantines)
             .u64("deadline_missed", meas.deadline_missed)
             .u64("breaker_trips", meas.breaker_trips)
-            .u64("expected", meas.expected_postmortems())
+            .u64("expected", meas.expected_postmortems)
             .u64("written", meas.postmortems_written)
             .u64("readable", meas.postmortems_readable)
             .u64("with_tree", meas.postmortems_with_tree),
-        meas.postmortems_written == meas.expected_postmortems()
-            && meas.postmortems_readable == meas.postmortems_written
-            && meas.expected_postmortems() > 0
-            && meas.postmortems_with_tree > 0,
     );
     b.row(
         Fields::new()
             .str("aspect", "overhead")
             .f64("untraced_updates_per_sec", meas.untraced_updates_per_sec, 1)
             .f64("traced_updates_per_sec", meas.traced_updates_per_sec, 1)
-            .f64("overhead_ratio", meas.overhead_ratio(), 4)
+            .f64("overhead_ratio", meas.overhead_ratio, 4)
             .f64("floor", meas.overhead_floor, 2),
-        meas.overhead_ratio() >= meas.overhead_floor,
     );
     b.summary(
         Fields::new()
@@ -622,87 +550,9 @@ fn write_baseline(meas: &Measurement) {
             .u64("orphans", meas.orphans)
             .u64("evicted", meas.evicted)
             .u64("postmortems_written", meas.postmortems_written)
-            .u64("postmortems_expected", meas.expected_postmortems())
-            .f64("overhead_ratio", meas.overhead_ratio(), 4)
-            .bool("acceptable", meas.acceptable()),
-        meas.acceptable(),
+            .u64("postmortems_expected", meas.expected_postmortems)
+            .f64("overhead_ratio", meas.overhead_ratio, 4),
     )
-    .write("BENCH_trace.json");
-}
-
-/// CI guard: the checked-in baseline must pass, and a fresh quick soak
-/// must be acceptable too. Returns `false` on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-trace: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-trace: FAIL — checked-in {baseline_path} records a failing soak");
-        ok = false;
-    }
-    let meas = measure(true);
-    println!(
-        "check-trace: {} roots / {} requests, {} orphans, {} evicted, \
-         postmortems {}/{} expected, overhead ratio {:.3} (floor {:.2})",
-        meas.request_roots,
-        meas.requests,
-        meas.orphans,
-        meas.evicted,
-        meas.postmortems_written,
-        meas.expected_postmortems(),
-        meas.overhead_ratio(),
-        meas.overhead_floor
-    );
-    if meas.request_roots != meas.requests || meas.distinct_trace_ids != meas.requests {
-        eprintln!(
-            "check-trace: FAIL — {} requests produced {} root spans ({} distinct ids)",
-            meas.requests, meas.request_roots, meas.distinct_trace_ids
-        );
-        ok = false;
-    }
-    if meas.orphans > 0 || meas.evicted > 0 || meas.torn > 0 {
-        eprintln!(
-            "check-trace: FAIL — snapshot not clean ({} orphans, {} evicted, {} torn)",
-            meas.orphans, meas.evicted, meas.torn
-        );
-        ok = false;
-    }
-    if meas.postmortems_written != meas.expected_postmortems()
-        || meas.postmortems_readable != meas.postmortems_written
-    {
-        eprintln!(
-            "check-trace: FAIL — postmortem accounting: {} written, {} expected, {} readable",
-            meas.postmortems_written,
-            meas.expected_postmortems(),
-            meas.postmortems_readable
-        );
-        ok = false;
-    }
-    if meas.expected_postmortems() == 0 || meas.postmortems_with_tree == 0 {
-        eprintln!(
-            "check-trace: FAIL — soak coverage missing ({} typed failures, {} with tree)",
-            meas.expected_postmortems(),
-            meas.postmortems_with_tree
-        );
-        ok = false;
-    }
-    if meas.overhead_ratio() < meas.overhead_floor {
-        eprintln!(
-            "check-trace: FAIL — traced ingest kept only {:.1}% of untraced (floor {:.0}%)",
-            meas.overhead_ratio() * 100.0,
-            meas.overhead_floor * 100.0
-        );
-        ok = false;
-    }
-    if ok {
-        println!("check-trace: OK");
-    }
-    ok
 }
 
 /// `obs-report --postmortem <file>`: render one postmortem to stdout.

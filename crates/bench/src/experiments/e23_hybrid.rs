@@ -5,8 +5,8 @@
 //! Below the spill threshold the hybrid's updates land in an exact
 //! signed-multiplicity buffer (hash-map work, no field arithmetic) and its
 //! decode is union-find over the buffered support (no ℓ0 sampling) — both
-//! are expected to beat the sketch by well over the acceptance floors
-//! (ingest ≥ 5x, decode ≥ 10x). Above the threshold the buffer spills into
+//! are expected to beat the sketch by well over the acceptance floors in
+//! [`GUARD`]. Above the threshold the buffer spills into
 //! the sketch by linear replay and the hybrid pays the sketch price plus a
 //! small tracking overhead — the point of the dense rows is that its
 //! *answers and bytes* stay identical, not that it stays fast.
@@ -24,30 +24,72 @@ use std::time::Instant;
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{HybridConfig, HybridConnectivitySketch, HybridMode};
-use dgs_field::prng::*;
-use dgs_field::{Codec, Reader, SeedTree, Writer};
-use dgs_hypergraph::generators::gnm;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph, VertexId};
+use dgs_field::{Codec, Reader};
+use dgs_hypergraph::VertexId;
 
-use crate::baseline::{json_bool_field, json_f64_field, summary_pass, Baseline, Fields};
-use crate::report::Table;
-use crate::workloads::{default_stream, lean_forest};
+use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
+use crate::workloads::{encoded, gnm_churn, lean_forest_sketch, tiled_pairs};
 
 /// Chunk size every ingest variant uses (mirrors E17's crossover batch).
 const BATCH: usize = 256;
 /// Acceptance floors for rows whose workload stays below the spill
-/// threshold (ISSUE 10 / ROADMAP "real traffic" lever).
+/// threshold; recorded in the baseline's `config`.
 const SPARSE_INGEST_FLOOR: f64 = 5.0;
 const SPARSE_DECODE_FLOOR: f64 = 10.0;
 
-fn fresh_sketch(n: usize, seed: u64) -> SpanningForestSketch {
-    let space = EdgeSpace::graph(n).unwrap();
-    SpanningForestSketch::new_full(space, &SeedTree::new(seed), lean_forest())
-}
+/// `experiments e23` writes `BENCH_hybrid.json`; `check-hybrid` guards it.
+/// Every row must match the sketch-only oracle; sparse rows must stay
+/// resident and clear the floors, dense rows must spill (the floors don't
+/// apply there: the hybrid pays the sketch price plus tracking). The
+/// floors sit far below the measured margins, so runner noise cannot trip
+/// them; correctness failures are what this guard is for.
+pub const GUARD: Guard = Guard {
+    command: "check-hybrid",
+    file: "BENCH_hybrid.json",
+    verdict_field: None,
+    gates: &[
+        Gate::row("rows[*].answers_match", Cmp::Eq, Bound::TRUE),
+        Gate::row("rows[*].bytes_match", Cmp::Eq, Bound::TRUE),
+        Gate::row("rows[*].recovery_ok", Cmp::Eq, Bound::TRUE),
+        Gate::row(
+            "rows[workload=sparse].resident_at_end",
+            Cmp::Eq,
+            Bound::TRUE,
+        ),
+        Gate::row(
+            "rows[workload=sparse].ingest_speedup",
+            Cmp::Ge,
+            Bound::Num(SPARSE_INGEST_FLOOR),
+        ),
+        Gate::row(
+            "rows[workload=sparse].decode_speedup",
+            Cmp::Ge,
+            Bound::Num(SPARSE_DECODE_FLOOR),
+        ),
+        Gate::row(
+            "rows[workload=dense].resident_at_end",
+            Cmp::Eq,
+            Bound::FALSE,
+        ),
+        Gate::checked_in("schema_version", Cmp::Eq, Bound::Num(1.0)),
+        Gate::checked_in(
+            "summary.min_sparse_ingest_speedup",
+            Cmp::Ge,
+            Bound::Num(SPARSE_INGEST_FLOOR),
+        ),
+        Gate::checked_in(
+            "summary.min_sparse_decode_speedup",
+            Cmp::Ge,
+            Bound::Num(SPARSE_DECODE_FLOOR),
+        ),
+        Gate::checked_in("rows[*].answers_match", Cmp::Present, Bound::TRUE),
+    ],
+    measure: |quick| document(&measure(quick)),
+};
 
 fn fresh_hybrid(n: usize, seed: u64, spill: usize) -> HybridConnectivitySketch {
     HybridConnectivitySketch::new(
-        fresh_sketch(n, seed),
+        lean_forest_sketch(n, seed),
         HybridConfig {
             spill_threshold: spill,
             unspill_threshold: spill / 4,
@@ -55,12 +97,6 @@ fn fresh_hybrid(n: usize, seed: u64, spill: usize) -> HybridConnectivitySketch {
             max_tracked_support: 1 << 40,
         },
     )
-}
-
-fn encoded<T: Codec>(t: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    t.encode(&mut w);
-    w.into_bytes()
 }
 
 /// Canonical min-vertex component labels for the sketch-only oracle — the
@@ -100,7 +136,6 @@ pub struct RowOut {
     pub bytes_match: bool,
     /// Encode → decode → replay-tail landed identical bytes and answers.
     pub recovery_ok: bool,
-    pub pass: bool,
 }
 
 pub struct Measurement {
@@ -125,20 +160,14 @@ fn run_row(
     decode_iters: usize,
     label: &'static str,
 ) -> RowOut {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnm(n, support, &mut rng));
-    let base = default_stream(&h, &mut rng);
-    let mut pairs: Vec<(HyperEdge, i64)> = Vec::with_capacity(target + base.updates.len());
-    while pairs.len() < target {
-        pairs.extend(base.updates.iter().map(|u| (u.edge.clone(), u.op.delta())));
-    }
+    let pairs = tiled_pairs(&gnm_churn(n, support, seed), target);
     let m = pairs.len();
     let cuts = [m / 3, 2 * m / 3, m];
 
     // Correctness pass: hybrid and sketch-only oracle side by side, with a
     // crash-recovery clone forked at the middle cut.
     let mut hybrid = fresh_hybrid(n, seed, spill);
-    let mut oracle = fresh_sketch(n, seed);
+    let mut oracle = lean_forest_sketch(n, seed);
     let mut recovered: Option<HybridConnectivitySketch> = None;
     let mut answers_match = true;
     let mut bytes_match = true;
@@ -156,7 +185,9 @@ fn run_row(
         answers_match &=
             hybrid.try_component_labels().expect("hybrid labels") == oracle_labels(&oracle);
         bytes_match &= match hybrid.mode() {
-            HybridMode::Resident => encoded(hybrid.sketch()) == encoded(&fresh_sketch(n, seed)),
+            HybridMode::Resident => {
+                encoded(hybrid.sketch()) == encoded(&lean_forest_sketch(n, seed))
+            }
             _ => encoded(hybrid.sketch()) == encoded(&oracle),
         };
         if ci == 1 {
@@ -192,7 +223,7 @@ fn run_row(
     }
     let mut sketch_ups = 0.0f64;
     for _ in 0..trials {
-        let mut sk = fresh_sketch(n, seed);
+        let mut sk = lean_forest_sketch(n, seed);
         let t = Instant::now();
         for chunk in pairs.chunks(BATCH) {
             sk.try_update_batch(chunk).expect("sketch ingest");
@@ -212,20 +243,6 @@ fn run_row(
     }
     let sketch_decode_us = t.elapsed().as_secs_f64() * 1e6 / decode_iters as f64;
 
-    let ingest_speedup = hybrid_ups / sketch_ups;
-    let decode_speedup = sketch_decode_us / hybrid_decode_us;
-    let correct = answers_match && bytes_match && recovery_ok;
-    let pass = if label == "sparse" {
-        // Sparse rows must stay resident and clear the acceptance floors.
-        correct
-            && resident_at_end
-            && ingest_speedup >= SPARSE_INGEST_FLOOR
-            && decode_speedup >= SPARSE_DECODE_FLOOR
-    } else {
-        // Dense rows must have spilled (the floors don't apply there: the
-        // hybrid is paying the sketch price plus tracking).
-        correct && !resident_at_end
-    };
     RowOut {
         label,
         spill_threshold: spill,
@@ -233,19 +250,17 @@ fn run_row(
         resident_at_end,
         hybrid_updates_per_sec: hybrid_ups,
         sketch_updates_per_sec: sketch_ups,
-        ingest_speedup,
+        ingest_speedup: hybrid_ups / sketch_ups,
         hybrid_decode_us,
         sketch_decode_us,
-        decode_speedup,
+        decode_speedup: sketch_decode_us / hybrid_decode_us,
         answers_match,
         bytes_match,
         recovery_ok,
-        pass,
     }
 }
 
-/// Runs the measurement grid. Separated from [`run`] so the CI guard
-/// (`check-hybrid`) can re-measure without printing tables.
+/// Runs the measurement grid.
 pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 128 } else { 256 };
     let target: usize = if quick { 8_000 } else { 40_000 };
@@ -298,59 +313,9 @@ pub fn measure(quick: bool) -> Measurement {
     }
 }
 
-pub fn run(quick: bool) {
-    let meas = measure(quick);
-    let mut table = Table::new(
-        "E23: hybrid sparse/sketch backend vs sketch-only",
-        &[
-            "workload",
-            "spill@",
-            "support",
-            "mode@end",
-            "hybrid u/s",
-            "sketch u/s",
-            "ingest x",
-            "decode x",
-            "oracle==",
-            "pass",
-        ],
-    );
-    for r in &meas.rows {
-        table.row(vec![
-            r.label.to_string(),
-            r.spill_threshold.to_string(),
-            r.support.to_string(),
-            if r.resident_at_end {
-                "resident".to_string()
-            } else {
-                "spilled".to_string()
-            },
-            format!("{:.0}", r.hybrid_updates_per_sec),
-            format!("{:.0}", r.sketch_updates_per_sec),
-            format!("{:.1}x", r.ingest_speedup),
-            format!("{:.1}x", r.decode_speedup),
-            (r.answers_match && r.bytes_match && r.recovery_ok).to_string(),
-            r.pass.to_string(),
-        ]);
-    }
-    table.note(format!(
-        "workload: {} updates (tiled churn) over n = {}; best of {} trial(s) per row",
-        meas.updates, meas.n, meas.trials
-    ));
-    table.note(
-        "oracle== = canonical labels equal the sketch-only oracle at all three cuts, \
-         inner-sketch bytes exact per mode, crash-recovery cycle bit-identical",
-    );
-    table.note(format!(
-        "sparse floors (acceptance): ingest >= {SPARSE_INGEST_FLOOR}x, \
-         decode >= {SPARSE_DECODE_FLOOR}x; dense rows must spill and stay exact"
-    ));
-    table.print();
-    write_baseline(&meas);
-}
-
-/// `BENCH_hybrid.json` in the shared [`crate::baseline`] schema.
-fn write_baseline(meas: &Measurement) {
+/// `BENCH_hybrid.json` in the shared [`crate::baseline`] schema: a row per
+/// (workload, spill threshold), best of `trials` per timing.
+pub fn document(meas: &Measurement) -> Baseline {
     let mut b = Baseline::new("e23-hybrid").config(
         Fields::new()
             .usize("n", meas.n)
@@ -375,10 +340,8 @@ fn write_baseline(meas: &Measurement) {
                 .bool("answers_match", r.answers_match)
                 .bool("bytes_match", r.bytes_match)
                 .bool("recovery_ok", r.recovery_ok),
-            r.pass,
         );
     }
-    let all_pass = meas.rows.iter().all(|r| r.pass);
     b.summary(
         Fields::new()
             .f64(
@@ -391,91 +354,5 @@ fn write_baseline(meas: &Measurement) {
                 meas.min_sparse_decode_speedup,
                 3,
             ),
-        all_pass,
     )
-    .write("BENCH_hybrid.json");
-}
-
-/// CI guard: the checked-in baseline must pass its own acceptance (every
-/// row exact, sparse floors cleared), and a fresh quick re-measurement
-/// must reproduce it — answers byte-identical to the sketch-only oracle in
-/// every row, sparse ingest ≥ 5x and exact decode ≥ 10x. The floors are
-/// far below the measured margins (tens of x), so runner noise cannot trip
-/// them; correctness failures are what this guard is for.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-hybrid: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-hybrid: FAIL — checked-in baseline summary pass != true");
-        ok = false;
-    }
-    if json_f64_field(&baseline, "schema_version") != Some(1.0) {
-        eprintln!("check-hybrid: FAIL — baseline schema_version != 1");
-        ok = false;
-    }
-    for key in ["min_sparse_ingest_speedup", "min_sparse_decode_speedup"] {
-        match json_f64_field(&baseline, key) {
-            Some(v) => {
-                let floor = if key.contains("ingest") {
-                    SPARSE_INGEST_FLOOR
-                } else {
-                    SPARSE_DECODE_FLOOR
-                };
-                if v < floor {
-                    eprintln!("check-hybrid: FAIL — baseline {key} = {v:.3} below floor {floor}");
-                    ok = false;
-                }
-            }
-            None => {
-                eprintln!("check-hybrid: FAIL — no {key} in {baseline_path}");
-                ok = false;
-            }
-        }
-    }
-    // Rows carry `"answers_match": bool`; the first false anywhere means a
-    // checked-in row saw the hybrid diverge from the oracle.
-    if json_bool_field(&baseline, "answers_match").is_none() {
-        eprintln!("check-hybrid: FAIL — baseline rows missing answers_match");
-        ok = false;
-    }
-
-    let meas = measure(true);
-    for r in &meas.rows {
-        println!(
-            "check-hybrid: {} spill@{} support {}: ingest {:.1}x, decode {:.1}x, \
-             oracle-exact {}, pass {}",
-            r.label,
-            r.spill_threshold,
-            r.support,
-            r.ingest_speedup,
-            r.decode_speedup,
-            r.answers_match && r.bytes_match && r.recovery_ok,
-            r.pass
-        );
-        if !r.pass {
-            eprintln!(
-                "check-hybrid: FAIL — fresh {} row (spill {}, support {}) failed \
-                 (answers {}, bytes {}, recovery {}, ingest {:.2}x, decode {:.2}x)",
-                r.label,
-                r.spill_threshold,
-                r.support,
-                r.answers_match,
-                r.bytes_match,
-                r.recovery_ok,
-                r.ingest_speedup,
-                r.decode_speedup
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("check-hybrid: OK");
-    }
-    ok
 }

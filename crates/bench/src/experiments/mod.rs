@@ -1,7 +1,11 @@
 //! Experiments E1–E23 (see DESIGN.md's per-experiment index).
 //!
-//! Each module prints one or more tables; `run_all` executes the suite in
-//! order. `quick` trims trial counts and sweep grids for CI-speed runs.
+//! E1–E15 each print one or more tables; E16–E23 each own a
+//! [`Guard`](crate::baseline::Guard) and print the `BENCH_*.json` document
+//! they write. `run_all` executes the suite in order. `quick` trims trial
+//! counts and sweep grids for CI-speed runs.
+
+use crate::baseline::Guard;
 
 pub mod e01_vc_query;
 pub mod e02_indexing;
@@ -26,11 +30,25 @@ pub mod e20_chaos;
 pub mod e21_service;
 pub mod e22_trace;
 pub mod e23_hybrid;
+#[cfg(test)]
+mod oracle;
 
 /// All experiment ids, in order.
 pub const ALL: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
+];
+
+/// Every CI guard, looked up by its `check-*` command.
+pub const GUARDS: &[&Guard] = &[
+    &e16_recovery::GUARD,
+    &e17_ingest::GUARD,
+    &e18_obs::GUARD,
+    &e19_query::GUARD,
+    &e20_chaos::GUARD,
+    &e21_service::GUARD,
+    &e22_trace::GUARD,
+    &e23_hybrid::GUARD,
 ];
 
 /// Runs one experiment by id. Returns false for an unknown id.
@@ -51,14 +69,14 @@ pub fn run(id: &str, quick: bool) -> bool {
         "e13" => e13_sampler_ablation::run(quick),
         "e14" => e14_edge_conn::run(quick),
         "e15" => e15_distributed::run(quick),
-        "e16" => e16_recovery::run(quick),
-        "e17" => e17_ingest::run(quick),
-        "e18" => e18_obs::run(quick),
-        "e19" => e19_query::run(quick),
-        "e20" => e20_chaos::run(quick),
-        "e21" => e21_service::run(quick),
-        "e22" => e22_trace::run(quick),
-        "e23" => e23_hybrid::run(quick),
+        "e16" => e16_recovery::GUARD.record(quick),
+        "e17" => e17_ingest::GUARD.record(quick),
+        "e18" => e18_obs::GUARD.record(quick),
+        "e19" => e19_query::GUARD.record(quick),
+        "e20" => e20_chaos::GUARD.record(quick),
+        "e21" => e21_service::GUARD.record(quick),
+        "e22" => e22_trace::GUARD.record(quick),
+        "e23" => e23_hybrid::GUARD.record(quick),
         _ => return false,
     }
     true

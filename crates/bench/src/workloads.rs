@@ -1,10 +1,16 @@
-//! Shared workload builders and lean sketch parameters for the experiments.
+//! Shared workload builders, sketch builders, soak set-up and ground truth
+//! for the experiments.
 
-use dgs_connectivity::ForestParams;
-use dgs_field::prng::Rng;
-use dgs_hypergraph::generators::{churn_stream, ChurnConfig};
-use dgs_hypergraph::{Hypergraph, UpdateStream};
-use dgs_sketch::L0Params;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_field::prng::{Rng, SeedableRng, StdRng};
+use dgs_field::{Codec, SeedTree, Writer};
+use dgs_hypergraph::algo::UnionFind;
+use dgs_hypergraph::generators::{churn_stream, gnm, gnp, ChurnConfig};
+use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph, Op, Update, UpdateStream};
+use dgs_sketch::{L0Params, Profile};
 
 /// Lean ℓ0 parameters used across the experiment suite: small enough that a
 /// full `experiments all` run fits comfortably in memory, large enough that
@@ -43,11 +49,127 @@ pub fn heavy_stream<R: Rng>(h: &Hypergraph, rng: &mut R) -> UpdateStream {
     )
 }
 
+/// The default churn stream over a seeded `gnm(n, m)` graph (one RNG
+/// drives both, graph first).
+pub fn gnm_churn(n: usize, m: usize, seed: u64) -> UpdateStream {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = Hypergraph::from_graph(&gnm(n, m, &mut rng));
+    default_stream(&h, &mut rng)
+}
+
+/// `stream` as `(edge, ±1)` pairs, repeated whole until there are at least
+/// `at_least` of them (the sketches are linear, so tiling only scales
+/// multiplicities).
+pub fn tiled_pairs(stream: &UpdateStream, at_least: usize) -> Vec<(HyperEdge, i64)> {
+    let base: Vec<(HyperEdge, i64)> = stream
+        .updates
+        .iter()
+        .map(|u| (u.edge.clone(), u.op.delta()))
+        .collect();
+    let mut pairs = Vec::with_capacity(at_least + base.len());
+    while pairs.len() < at_least {
+        pairs.extend(base.iter().cloned());
+    }
+    pairs
+}
+
+/// A lean full-vertex forest sketch over `graph(n)`.
+pub fn lean_forest_sketch(n: usize, seed: u64) -> SpanningForestSketch {
+    let space = EdgeSpace::graph(n).expect("edge space");
+    SpanningForestSketch::new_full(space, &SeedTree::new(seed), lean_forest())
+}
+
+/// Builder for the soaks' boosted repetitions: repetition `i` is a
+/// `Profile::Practical` forest over `graph(n)` seeded from child `i`.
+pub fn practical_forests(
+    n: usize,
+    seed: u64,
+) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync + Copy {
+    move |i| {
+        let space = EdgeSpace::graph(n).expect("edge space");
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
+    }
+}
+
+/// Canonical encoding of a sketch, for byte-identity checks.
+pub fn encoded<T: Codec>(t: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    t.encode(&mut w);
+    w.into_bytes()
+}
+
+/// The soaks' shared workload: a heavy churn stream over a seeded
+/// `gnp(n, 0.25)` graph, replayed `cycles` times with every odd cycle
+/// unwound (reverse order, flipped ops) so multiplicities return to zero
+/// between passes.
+pub fn soak_updates(n: usize, seed: u64, cycles: usize) -> Vec<Update> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
+    let base = heavy_stream(&h, &mut rng);
+    let mut updates = Vec::with_capacity(base.updates.len() * cycles);
+    for cycle in 0..cycles {
+        if cycle % 2 == 0 {
+            updates.extend(base.updates.iter().cloned());
+        } else {
+            updates.extend(base.updates.iter().rev().map(|u| match u.op {
+                Op::Insert => Update::delete(u.edge.clone()),
+                Op::Delete => Update::insert(u.edge.clone()),
+            }));
+        }
+    }
+    updates
+}
+
+/// A per-process scratch directory under the system temp dir, emptied on
+/// creation and removed on drop.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    pub fn new(label: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("dgs-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Exact ground truth for a soak: the live edge multiset of an applied
+/// prefix.
+#[derive(Default)]
+pub struct LiveEdges(BTreeMap<HyperEdge, i64>);
+
+impl LiveEdges {
+    pub fn apply(&mut self, u: &Update) {
+        *self.0.entry(u.edge.clone()).or_insert(0) += u.op.delta();
+    }
+
+    /// Exact component count over `n` vertices: union-find over the live
+    /// edges (a hyperedge merges all its vertices).
+    pub fn components(&self, n: usize) -> usize {
+        let mut uf = UnionFind::new(n);
+        for (e, _) in self.0.iter().filter(|(_, &mult)| mult > 0) {
+            for w in e.vertices().windows(2) {
+                uf.union(w[0], w[1]);
+            }
+        }
+        uf.component_count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgs_field::prng::*;
-    use dgs_hypergraph::generators::gnp;
+    use dgs_hypergraph::algo::components::hyper_component_count;
 
     #[test]
     fn streams_round_trip() {
@@ -57,6 +179,21 @@ mod tests {
             let h2 = s.final_hypergraph().expect("valid stream");
             assert_eq!(h2.edge_count(), h.edge_count());
         }
+    }
+
+    #[test]
+    fn soak_cycles_cancel_to_zero_and_live_edges_track_them() {
+        let updates = soak_updates(12, 3, 2);
+        let mut live = LiveEdges::default();
+        for u in &updates[..updates.len() / 2] {
+            live.apply(u);
+        }
+        let h = Hypergraph::from_graph(&gnp(12, 0.25, &mut StdRng::seed_from_u64(3)));
+        assert_eq!(live.components(12), hyper_component_count(&h));
+        for u in &updates[updates.len() / 2..] {
+            live.apply(u);
+        }
+        assert_eq!(live.components(12), 12);
     }
 
     #[test]

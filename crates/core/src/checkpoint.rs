@@ -183,6 +183,13 @@ pub trait Recoverable: Codec {
         }
         Ok(())
     }
+
+    /// Checks that `u` fits this sketch's own edge space without touching
+    /// any state. The durable ingestors call it before logging, so an
+    /// update the sketch would reject never reaches the log.
+    fn validate(&self, _u: &Update) -> SketchResult<()> {
+        Ok(())
+    }
 }
 
 macro_rules! recoverable_via_try_update {
@@ -212,6 +219,10 @@ macro_rules! recoverable_via_batch_kernel {
         impl Recoverable for $t {
             fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
                 self.try_update(&u.edge, u.op.delta())
+            }
+
+            fn validate(&self, u: &Update) -> SketchResult<()> {
+                self.validate_edge(&u.edge)
             }
 
             fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
@@ -693,10 +704,15 @@ impl Default for CheckpointConfig {
 
 /// Logs one update ahead of any state it will touch: the one write path of
 /// both durable ingestors. An update the log's stream cannot hold (a
-/// vertex `>= n` or a rank above `max_rank`) is rejected as a
-/// non-retryable [`RecoveryError::Sketch`] before anything is written, so
-/// a malformed update can never poison replay.
-pub(crate) fn log_update(wal: &mut WalWriter, u: &Update) -> Result<(), RecoveryError> {
+/// vertex `>= n` or a rank above `max_rank`), or that `sketch` rejects
+/// against its own edge space (an absent vertex in a partial forest), is
+/// rejected as a non-retryable [`RecoveryError::Sketch`] before anything
+/// is written, so a malformed update can never poison replay.
+pub(crate) fn log_update<T: Recoverable>(
+    wal: &mut WalWriter,
+    sketch: Option<&T>,
+    u: &Update,
+) -> Result<(), RecoveryError> {
     let e = &u.edge;
     if e.cardinality() > wal.max_rank() || e.vertices().iter().any(|&v| v as usize >= wal.n()) {
         return Err(RecoveryError::Sketch(SketchError::invalid(format!(
@@ -704,6 +720,9 @@ pub(crate) fn log_update(wal: &mut WalWriter, u: &Update) -> Result<(), Recovery
             wal.n(),
             wal.max_rank()
         ))));
+    }
+    if let Some(sketch) = sketch {
+        sketch.validate(u).map_err(RecoveryError::Sketch)?;
     }
     wal.append(u)?;
     Ok(())
@@ -828,10 +847,10 @@ impl<T: Recoverable> CheckpointedIngestor<T> {
     }
 
     /// Logs then applies one update; snapshots when the interval elapses.
-    /// An update with a vertex `>= n` or a rank above `max_rank` is
-    /// rejected before it is logged.
+    /// An update with a vertex `>= n`, a rank above `max_rank`, or an edge
+    /// the sketch's own edge space rejects is refused before it is logged.
     pub fn ingest(&mut self, u: &Update) -> Result<(), RecoveryError> {
-        log_update(&mut self.wal, u)?;
+        log_update(&mut self.wal, Some(&self.sketch), u)?;
         self.sketch.apply_update(u).map_err(RecoveryError::Sketch)?;
         self.since_snapshot += 1;
         if self.since_snapshot >= self.interval {
@@ -1079,22 +1098,32 @@ mod tests {
     }
 
     /// Regression: a malformed update used to be logged before the sketch
-    /// rejected it, and every later resume failed replaying it.
+    /// rejected it, and every later resume failed replaying it. Covers both
+    /// a vertex outside the log and one the log admits but the sketch's own
+    /// vertex set (a partial forest) does not.
     #[test]
     fn rejected_update_is_never_logged() {
         let (wal_dir, snap_dir) = (tmpdir("reject-wal"), tmpdir("reject-snap"));
-        let updates = path_updates(12);
+        // Vertex 11 is inside the log's 12-vertex range but absent from the
+        // sketch, which covers vertices 0..11 only.
+        let partial = || {
+            let space = EdgeSpace::new(12, 2).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            SpanningForestSketch::new_induced(space, (0..11).collect(), &SeedTree::new(99), params)
+        };
+        let updates = path_updates(11);
         let cfg = CheckpointConfig {
             snapshot_interval: 4,
             ..CheckpointConfig::default()
         };
         let mut ing =
-            CheckpointedIngestor::create(&wal_dir, &snap_dir, 12, 2, cfg, forest(12)).unwrap();
+            CheckpointedIngestor::create(&wal_dir, &snap_dir, 12, 2, cfg, partial()).unwrap();
         ing.ingest(&updates[0]).unwrap();
-        let bad = Update::insert(HyperEdge::pair(0, 99));
-        let err = ing.ingest(&bad).unwrap_err();
-        assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
-        assert_eq!(ing.offset(), 1);
+        for bad in [HyperEdge::pair(0, 99), HyperEdge::pair(0, 11)] {
+            let err = ing.ingest(&Update::insert(bad)).unwrap_err();
+            assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+            assert_eq!(ing.offset(), 1);
+        }
         for u in &updates[1..] {
             ing.ingest(u).unwrap();
         }
@@ -1105,10 +1134,10 @@ mod tests {
             12,
             2,
             cfg,
-            |_, _| forest(12),
+            |_, _| partial(),
         )
         .unwrap();
-        assert_eq!(rec.offset, 11);
+        assert_eq!(rec.offset, 10);
         let (mut got, mut expected) = (Writer::new(), Writer::new());
         ing.sketch().encode(&mut got);
         want.encode(&mut expected);

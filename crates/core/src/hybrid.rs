@@ -344,6 +344,12 @@ impl HybridConnectivitySketch {
         Ok(())
     }
 
+    /// Validates one edge exactly as the inner sketch would, without
+    /// touching any state.
+    pub fn validate_edge(&self, e: &HyperEdge) -> SketchResult<()> {
+        self.sketch.validate_edge(e)
+    }
+
     /// Fallible signed update (+1 insert, -1 delete). Accepts and rejects
     /// exactly the updates the inner sketch would.
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {

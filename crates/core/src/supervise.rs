@@ -859,11 +859,13 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
 
     /// Logs one update to the WAL and buffers it; flushes at batch size.
     ///
-    /// An update with a vertex `>= n` or a rank above `max_rank` is
-    /// rejected with a non-retryable [`RecoveryError::Sketch`] before it is
-    /// logged or buffered, so it can never poison the durable state.
+    /// An update with a vertex `>= n`, a rank above `max_rank`, or an edge
+    /// a live shard's own edge space rejects is refused with a
+    /// non-retryable [`RecoveryError::Sketch`] before it is logged or
+    /// buffered, so it can never poison the durable state.
     pub fn push(&mut self, u: &Update) -> Result<(), RecoveryError> {
-        log_update(&mut self.wal, u)?;
+        let live = self.shards.iter().find(|s| s.health.is_live());
+        log_update(&mut self.wal, live.map(|s| &*s.sketch), u)?;
         self.buffer.push(u.clone());
         if self.buffer.len() >= self.cfg.batch_size {
             self.flush()?;
@@ -1766,17 +1768,85 @@ mod tests {
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
 
-        // A log wider than the shards' edge space admits the update; every
-        // shard then rejects it non-retryably at flush, which fails the
-        // stream and leaves the shards healthy.
+        // A log wider than the shards' edge space: push validates against a
+        // live shard's own space, so the update is refused before logging.
         let wal = tmpdir("invalid-wide-wal");
         let snap = tmpdir("invalid-wide-snap");
         let mut sup = SupervisedIngestor::create(&wal, &snap, 128, 2, cfg(14), forest).unwrap();
         sup.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
-        sup.push(&Update::insert(HyperEdge::pair(0, 99))).unwrap();
+        let err = sup
+            .push(&Update::insert(HyperEdge::pair(0, 99)))
+            .unwrap_err();
+        assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        assert_eq!((sup.offset(), sup.ingested()), (1, 0));
+
+        // Every live shard rejecting the same batch non-retryably at flush
+        // fails the stream and leaves the shards healthy.
+        for i in 0..3 {
+            sup.inject_apply_fault(i, SketchError::invalid("rejected by every shard"), 1);
+        }
         let err = sup.flush().unwrap_err();
         assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
         assert_eq!(sup.shard_states(), vec![ShardState::Healthy; 3]);
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    /// Regression: an update inside the log's vertex range but outside a
+    /// partial forest's vertex set used to be logged, then rejected at
+    /// flush. The flush dropped the accepted updates batched with it, so
+    /// `offset > ingested` from then on and replay hit the bad record.
+    #[test]
+    fn absent_vertex_is_rejected_before_it_is_logged() {
+        fn partial(i: usize) -> SpanningForestSketch {
+            let space = EdgeSpace::graph(N).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            let present = (0..N as u32 - 1).collect();
+            SpanningForestSketch::new_induced(
+                space,
+                present,
+                &SeedTree::new(1000 + i as u64),
+                params,
+            )
+        }
+        let wal = tmpdir("absent-wal");
+        let snap = tmpdir("absent-snap");
+        let cfg = SupervisorConfig {
+            batch_size: 4,
+            ..cfg(19)
+        };
+        let good = [(0, 1), (1, 2), (2, 3)].map(|(u, v)| Update::insert(HyperEdge::pair(u, v)));
+        let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, partial).unwrap();
+        sup.push(&good[0]).unwrap();
+        let absent = Update::insert(HyperEdge::pair(0, N as u32 - 1));
+        let err = sup.push(&absent).unwrap_err();
+        assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        // offset == ingested + buffered (one update buffered).
+        assert_eq!((sup.offset(), sup.ingested()), (1, 0));
+        for u in &good[1..] {
+            sup.push(u).unwrap();
+        }
+        sup.flush().unwrap();
+        assert_eq!((sup.offset(), sup.ingested()), (3, 3));
+        let reference: Vec<Vec<u8>> = (0..3)
+            .map(|i| {
+                let mut s = partial(i);
+                for u in &good {
+                    s.apply_update(u).unwrap();
+                }
+                encoded(&s)
+            })
+            .collect();
+        sup.rebuild_now(0).unwrap();
+        assert_eq!(sup.shard_encoded(0), reference[0]);
+        drop(sup);
+        let (sup, durable) =
+            SupervisedIngestor::<SpanningForestSketch>::resume(&wal, &snap, N, 2, cfg, partial)
+                .unwrap();
+        assert_eq!(durable, 3);
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(&sup.shard_encoded(i), want, "resumed shard {i}");
+        }
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
     }

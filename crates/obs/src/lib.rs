@@ -30,12 +30,11 @@
 //! ([`Registry::to_json`]). Both are deterministic (keys sorted) so they can be
 //! golden-tested.
 //!
-//! ## Tracing
+//! ## Spans
 //!
 //! [`MetricsSink::span`] returns an RAII [`Span`] guard that records its
-//! elapsed time into a `_ns` histogram and, when the registry was built with
-//! [`Registry::with_trace`], appends a [`TraceEvent`] to a fixed-capacity ring
-//! buffer (oldest events evicted, eviction counted).
+//! elapsed time into a `_ns` histogram. Events (request trees, postmortems)
+//! belong to `dgs-trace`; this crate holds metrics only.
 
 // Observability must never take the process down: `unwrap`/`expect` are
 // denied crate-wide in non-test code (tests opt back in locally). Poisoned
@@ -46,11 +45,9 @@
 mod export;
 mod metrics;
 mod registry;
-mod trace;
 
 pub use metrics::{
     bucket_index, bucket_upper_edge, Counter, Gauge, HistStats, Histogram, HistogramTimer,
     HISTOGRAM_BUCKETS,
 };
 pub use registry::{valid_metric_name, MetricValue, MetricsSink, Registry, Snapshot, Span};
-pub use trace::TraceEvent;
