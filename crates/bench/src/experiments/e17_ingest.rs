@@ -28,7 +28,7 @@ use dgs_field::SeedTree;
 use dgs_hypergraph::EdgeSpace;
 
 use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
-use crate::workloads::{encoded, gnm_churn, lean_forest, lean_forest_sketch, tiled_pairs};
+use crate::workloads::{encoded, gnm_churn, lean_forest, lean_forest_sketch, tiled_updates};
 
 /// Batch size shared by every striped row and the crossover comparison
 /// (the `256` in the crossover gate's selectors).
@@ -136,15 +136,15 @@ pub fn measure(quick: bool) -> Measurement {
     let trials = if quick { 1 } else { 3 };
     let stream = gnm_churn(n, 4 * n, seed);
     let stream_updates = stream.len();
-    let pairs = tiled_pairs(&stream, target);
-    let m = pairs.len();
+    let updates = tiled_updates(&stream, target);
+    let m = updates.len();
 
     let mut rows: Vec<RowOut> = Vec::new();
 
     // Scalar reference: the per-update path every variant must match.
     let (scalar_ups, reference) = time_best(trials, m, n, seed, |s| {
-        for (e, d) in &pairs {
-            s.try_update(e, *d).expect("scalar update");
+        for u in &updates {
+            s.try_update(&u.edge, u.op.delta()).expect("scalar update");
         }
     });
     rows.push(RowOut {
@@ -165,7 +165,7 @@ pub fn measure(quick: bool) -> Measurement {
     let mut best_batched = 0.0f64;
     for &b in batch_sizes {
         let (ups, bytes) = time_best(trials, m, n, seed, |s| {
-            for chunk in pairs.chunks(b) {
+            for chunk in updates.chunks(b) {
                 s.try_update_batch(chunk).expect("batched update");
             }
         });
@@ -192,7 +192,7 @@ pub fn measure(quick: bool) -> Measurement {
     for &b in striped_batches {
         for &t in thread_counts {
             let (ups, bytes) = time_best(trials, m, n, seed, |s| {
-                for chunk in pairs.chunks(b) {
+                for chunk in updates.chunks(b) {
                     s.try_update_batch_striped(chunk, t)
                         .expect("striped update");
                 }
@@ -227,8 +227,8 @@ pub fn measure(quick: bool) -> Measurement {
     for _ in 0..trials {
         let mut q = BoostedQuery::new(r, build);
         let t = Instant::now();
-        for (e, d) in &pairs {
-            q.try_update(e, *d).expect("boosted scalar update");
+        for u in &updates {
+            q.try_update(u).expect("boosted scalar update");
         }
         let ups = m as f64 / t.elapsed().as_secs_f64();
         if ups > boosted_scalar_ups {
@@ -250,8 +250,8 @@ pub fn measure(quick: bool) -> Measurement {
         for _ in 0..trials {
             let mut ing = ShardedIngestor::with_build(r, t, CROSSOVER_BATCH, build);
             let t0 = Instant::now();
-            for (e, d) in &pairs {
-                ing.push(e, *d).expect("sharded push");
+            for u in &updates {
+                ing.push(u).expect("sharded push");
             }
             let q = ing.finish().expect("sharded finish");
             let ups = m as f64 / t0.elapsed().as_secs_f64();

@@ -25,8 +25,8 @@
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BoostedQuery, CheckpointConfig, CheckpointedIngestor, QueryOutcome, RecoveryDriver,
-    ShardedIngestor,
+    BoostedQuery, CheckpointConfig, CheckpointedIngestor, QueryOutcome, QueryPolicy,
+    RecoveryDriver, ShardedIngestor,
 };
 use dgs_field::prng::*;
 use dgs_field::SeedTree;
@@ -37,7 +37,7 @@ use dgs_sketch::{L0Params, L0Sampler, Profile};
 use dgs_trace::Tracer;
 
 use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
-use crate::workloads::{gnm_churn, lean_forest, lean_forest_sketch, tiled_pairs, ScratchDir};
+use crate::workloads::{gnm_churn, lean_forest, lean_forest_sketch, tiled_updates, ScratchDir};
 
 /// `experiments e18` writes `BENCH_obs.json`; `check-obs` guards it: every
 /// observed failure rate against a multiple of its theoretical bound.
@@ -155,7 +155,7 @@ fn boosted_rate(params: L0Params, reps: usize, trials: u64, seed: u64) -> (u64, 
         apply_adversarial(&mut samplers, t);
         let mut boosted = BoostedQuery::from_repetitions(samplers);
         boosted.set_sink(&registry.sink());
-        match boosted.query(|s| s.sample()) {
+        match boosted.query(QueryPolicy::FirstSuccess, |s| s.sample()) {
             QueryOutcome::Answer { value, .. } => {
                 let (_, w) = value.expect("nonzero vector certified zero");
                 assert_eq!(w, 1, "sampled a cancelled index");
@@ -275,14 +275,14 @@ pub fn obs_report(quick: bool) {
     let root = tracer.root("dgs_bench_obs_report");
     let trace_id = root.trace_id();
     let stream = gnm_churn(n, 3 * n, seed);
-    let pairs = tiled_pairs(&stream, stream.len());
+    let updates = tiled_updates(&stream, stream.len());
 
     // Forest sketch: batched ingest and a decode, feeding the sketch-layer
     // and connectivity-layer counters.
     let space = EdgeSpace::graph(n).unwrap();
     let mut sketch = lean_forest_sketch(n, seed);
     sketch.set_sink(&sink);
-    for chunk in pairs.chunks(256) {
+    for chunk in updates.chunks(256) {
         sketch.try_update_batch(chunk).expect("batched update");
     }
     let _ = sketch.try_component_count();
@@ -294,8 +294,8 @@ pub fn obs_report(quick: bool) {
         SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), lean_forest())
     });
     ingestor.set_sink(&sink);
-    for (e, d) in &pairs {
-        ingestor.push(e, *d).expect("sharded push");
+    for u in &updates {
+        ingestor.push(u).expect("sharded push");
     }
     let _ = ingestor.finish().expect("sharded finish");
 
@@ -333,7 +333,7 @@ pub fn obs_report(quick: bool) {
     }
     root.finish();
 
-    println!("# obs-report: {} updates over n = {n}", pairs.len());
+    println!("# obs-report: {} updates over n = {n}", updates.len());
     println!("{}", registry.to_prometheus());
     println!("{}", registry.to_json());
     print!("{}", tracer.snapshot().render_tree(trace_id));

@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    CheckpointConfig, QueryBudget, Recoverable, SupervisedAnswer, SupervisedIngestor,
+    CheckpointConfig, QueryBudget, QueryPolicy, Recoverable, SupervisedAnswer, SupervisedIngestor,
     SupervisorConfig,
 };
 use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, HyperEdge, Update};
@@ -246,7 +246,6 @@ pub fn measure(quick: bool) -> Measurement {
             ..CheckpointConfig::default()
         },
         seed,
-        ..SupervisorConfig::default()
     };
     let registry = Registry::new();
     let build = practical_forests(n, seed ^ 0xB00);
@@ -341,14 +340,18 @@ pub fn measure(quick: bool) -> Measurement {
             queries += 1;
             let truth = live.components(n);
             let answer = sup
-                .query_majority(&budget, |shard, s: &SpanningForestSketch| {
-                    let left = stalls.borrow().get(&shard).copied().unwrap_or(0);
-                    if left > 0 {
-                        stalls.borrow_mut().insert(shard, left - 1);
-                        std::thread::sleep(Duration::from_millis(4));
-                    }
-                    s.try_component_count()
-                })
+                .query(
+                    &budget,
+                    QueryPolicy::Majority,
+                    |shard, s: &SpanningForestSketch| {
+                        let left = stalls.borrow().get(&shard).copied().unwrap_or(0);
+                        if left > 0 {
+                            stalls.borrow_mut().insert(shard, left - 1);
+                            std::thread::sleep(Duration::from_millis(4));
+                        }
+                        s.try_component_count()
+                    },
+                )
                 .expect("query");
             match answer {
                 SupervisedAnswer::Full { value, .. } => {

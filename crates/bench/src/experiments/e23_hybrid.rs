@@ -28,7 +28,7 @@ use dgs_field::{Codec, Reader};
 use dgs_hypergraph::VertexId;
 
 use crate::baseline::{Baseline, Bound, Cmp, Fields, Gate, Guard};
-use crate::workloads::{encoded, gnm_churn, lean_forest_sketch, tiled_pairs};
+use crate::workloads::{encoded, gnm_churn, lean_forest_sketch, tiled_updates};
 
 /// Chunk size every ingest variant uses (mirrors E17's crossover batch).
 const BATCH: usize = 256;
@@ -160,8 +160,8 @@ fn run_row(
     decode_iters: usize,
     label: &'static str,
 ) -> RowOut {
-    let pairs = tiled_pairs(&gnm_churn(n, support, seed), target);
-    let m = pairs.len();
+    let updates = tiled_updates(&gnm_churn(n, support, seed), target);
+    let m = updates.len();
     let cuts = [m / 3, 2 * m / 3, m];
 
     // Correctness pass: hybrid and sketch-only oracle side by side, with a
@@ -174,7 +174,7 @@ fn run_row(
     let mut recovery_ok = true;
     let mut start = 0usize;
     for (ci, &cut) in cuts.iter().enumerate() {
-        for chunk in pairs[start..cut].chunks(BATCH) {
+        for chunk in updates[start..cut].chunks(BATCH) {
             hybrid.try_update_batch(chunk).expect("hybrid ingest");
             oracle.try_update_batch(chunk).expect("oracle ingest");
             if let Some(r) = recovered.as_mut() {
@@ -216,7 +216,7 @@ fn run_row(
     for _ in 0..trials {
         let mut hy = fresh_hybrid(n, seed, spill);
         let t = Instant::now();
-        for chunk in pairs.chunks(BATCH) {
+        for chunk in updates.chunks(BATCH) {
             hy.try_update_batch(chunk).expect("hybrid ingest");
         }
         hybrid_ups = hybrid_ups.max(m as f64 / t.elapsed().as_secs_f64());
@@ -225,7 +225,7 @@ fn run_row(
     for _ in 0..trials {
         let mut sk = lean_forest_sketch(n, seed);
         let t = Instant::now();
-        for chunk in pairs.chunks(BATCH) {
+        for chunk in updates.chunks(BATCH) {
             sk.try_update_batch(chunk).expect("sketch ingest");
         }
         sketch_ups = sketch_ups.max(m as f64 / t.elapsed().as_secs_f64());

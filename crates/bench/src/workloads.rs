@@ -57,20 +57,14 @@ pub fn gnm_churn(n: usize, m: usize, seed: u64) -> UpdateStream {
     default_stream(&h, &mut rng)
 }
 
-/// `stream` as `(edge, ±1)` pairs, repeated whole until there are at least
-/// `at_least` of them (the sketches are linear, so tiling only scales
-/// multiplicities).
-pub fn tiled_pairs(stream: &UpdateStream, at_least: usize) -> Vec<(HyperEdge, i64)> {
-    let base: Vec<(HyperEdge, i64)> = stream
-        .updates
-        .iter()
-        .map(|u| (u.edge.clone(), u.op.delta()))
-        .collect();
-    let mut pairs = Vec::with_capacity(at_least + base.len());
-    while pairs.len() < at_least {
-        pairs.extend(base.iter().cloned());
+/// `stream`'s updates, repeated whole until there are at least `at_least`
+/// of them (the sketches are linear, so tiling only scales multiplicities).
+pub fn tiled_updates(stream: &UpdateStream, at_least: usize) -> Vec<Update> {
+    let mut updates = Vec::with_capacity(at_least + stream.len());
+    while updates.len() < at_least {
+        updates.extend(stream.updates.iter().cloned());
     }
-    pairs
+    updates
 }
 
 /// A lean full-vertex forest sketch over `graph(n)`.

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dgs_field::{Fp, SeedTree};
 use dgs_hypergraph::algo::UnionFind;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, VertexId};
+use dgs_hypergraph::{EdgeSpace, HyperEdge, SignedEdge, VertexId};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::{L0Params, L0Sampler, Profile, SketchError, SketchResult};
 
@@ -310,26 +310,7 @@ impl SpanningForestSketch {
     /// malformed stream element surfaces as [`SketchError::InvalidInput`]
     /// — in release builds too — instead of corrupting state or panicking.
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        if e.cardinality() > self.space.max_rank() {
-            return Err(SketchError::invalid(format!(
-                "edge of rank {} exceeds the space's rank bound {}",
-                e.cardinality(),
-                self.space.max_rank()
-            )));
-        }
-        for &v in e.vertices() {
-            if (v as usize) >= self.space.n() {
-                return Err(SketchError::invalid(format!(
-                    "vertex {v} out of range for a {}-vertex edge space",
-                    self.space.n()
-                )));
-            }
-            if self.vpos[v as usize] == u32::MAX {
-                return Err(SketchError::invalid(format!(
-                    "update touches absent vertex {v}"
-                )));
-            }
-        }
+        self.validate_edge(e)?;
         let idx = self.space.rank(e);
         let nv = self.vertices.len();
         for &v in e.vertices() {
@@ -384,19 +365,36 @@ impl SpanningForestSketch {
     /// per (endpoint, round).
     ///
     /// Bit-identical to calling [`try_update`](Self::try_update) per entry
-    /// in order (field addition is exact and commutative), except that an
-    /// invalid entry rejects the *entire* batch before anything is applied,
-    /// whereas the scalar loop would have applied the valid prefix.
-    pub fn try_update_batch(&mut self, updates: &[(HyperEdge, i64)]) -> SketchResult<()> {
+    /// in order (field addition is exact and commutative), failures
+    /// included: on an invalid entry `i` exactly the valid prefix `0..i` is
+    /// applied and `Err((i, error))` returned.
+    pub fn try_update_batch<U: SignedEdge>(
+        &mut self,
+        updates: &[U],
+    ) -> Result<(), (usize, SketchError)> {
+        // One stripe is the unstriped kernel.
+        self.try_update_batch_striped(updates, 1)
+    }
+
+    /// Splits `updates` at its first entry [`validate_edge`](Self::validate_edge)
+    /// rejects: the valid prefix, plus that entry's index and error.
+    pub fn valid_prefix<'a, U: SignedEdge>(
+        &self,
+        updates: &'a [U],
+    ) -> (&'a [U], Option<(usize, SketchError)>) {
+        for (i, u) in updates.iter().enumerate() {
+            if let Err(e) = self.validate_edge(u.edge()) {
+                return (&updates[..i], Some((i, e)));
+            }
+        }
+        (updates, None)
+    }
+
+    /// The batched kernel over already-validated updates.
+    fn batch_kernel<U: SignedEdge>(&mut self, updates: &[U]) -> SketchResult<()> {
         let nv = self.vertices.len();
         if updates.is_empty() || nv == 0 {
-            for (e, _) in updates {
-                self.validate_edge(e)?;
-            }
             return Ok(());
-        }
-        for (e, _) in updates {
-            self.validate_edge(e)?;
         }
         let (keys, by_row) = self.aggregate_batch(updates);
         if keys.is_empty() {
@@ -428,21 +426,21 @@ impl SpanningForestSketch {
     /// Returns the live (nonzero) rank list plus, per vertex row, the
     /// `(plan key id, field coefficient)` contributions.
     #[allow(clippy::type_complexity)]
-    fn aggregate_batch(&self, updates: &[(HyperEdge, i64)]) -> (Vec<u64>, Vec<Vec<(u32, Fp)>>) {
+    fn aggregate_batch<U: SignedEdge>(&self, updates: &[U]) -> (Vec<u64>, Vec<Vec<(u32, Fp)>>) {
         let mut uniq: Vec<u64> = Vec::with_capacity(updates.len());
         let mut first: Vec<usize> = Vec::with_capacity(updates.len());
         let mut sums: Vec<Fp> = Vec::with_capacity(updates.len());
         let mut seen: std::collections::HashMap<u64, usize> =
             std::collections::HashMap::with_capacity(updates.len());
-        for (i, (e, delta)) in updates.iter().enumerate() {
-            let rank = self.space.rank(e);
+        for (i, u) in updates.iter().enumerate() {
+            let rank = self.space.rank(u.edge());
             let id = *seen.entry(rank).or_insert_with(|| {
                 uniq.push(rank);
                 first.push(i);
                 sums.push(Fp::ZERO);
                 uniq.len() - 1
             });
-            sums[id] = sums[id].add(Fp::from_i64(*delta));
+            sums[id] = sums[id].add(Fp::from_i64(u.delta()));
         }
         let mut keys: Vec<u64> = Vec::with_capacity(uniq.len());
         let mut by_row: Vec<Vec<(u32, Fp)>> = vec![Vec::new(); self.vertices.len()];
@@ -454,7 +452,7 @@ impl SpanningForestSketch {
             }
             let lid = keys.len() as u32;
             keys.push(rank);
-            let (e, _) = &updates[first[id]];
+            let e = updates[first[id]].edge();
             for &v in e.vertices() {
                 let local = self.vpos[v as usize] as usize;
                 let d = match incidence_coefficient(e, v) {
@@ -509,12 +507,22 @@ impl SpanningForestSketch {
     /// Plans are deterministic functions of `(seed, keys)`, and each
     /// sampler still receives exactly one `apply_planned_many` call with
     /// the same items in the same order, so neither lever affects the
-    /// byte-identity contract.
-    pub fn try_update_batch_striped(
+    /// byte-identity contract, and a failing batch applies the same valid
+    /// prefix.
+    pub fn try_update_batch_striped<U: SignedEdge>(
         &mut self,
-        updates: &[(HyperEdge, i64)],
+        updates: &[U],
         threads: usize,
-    ) -> SketchResult<()> {
+    ) -> Result<(), (usize, SketchError)> {
+        let (valid, invalid) = self.valid_prefix(updates);
+        // The kernels' own errors are shape checks a validated prefix
+        // always passes.
+        self.striped_kernel(valid, threads).map_err(|e| (0, e))?;
+        invalid.map_or(Ok(()), Err)
+    }
+
+    /// The striped kernel over already-validated updates.
+    fn striped_kernel<U: SignedEdge>(&mut self, updates: &[U], threads: usize) -> SketchResult<()> {
         let nv = self.vertices.len();
         // Chunk size proportional to rows per thread, floored so tiny
         // sketches collapse to fewer (or one) worker.
@@ -523,10 +531,7 @@ impl SpanningForestSketch {
             .max(Self::MIN_STRIPE_ROWS.min(nv.max(1)));
         let stripes = nv.div_ceil(chunk.max(1));
         if stripes <= 1 || updates.is_empty() {
-            return self.try_update_batch(updates);
-        }
-        for (e, _) in updates {
-            self.validate_edge(e)?;
+            return self.batch_kernel(updates);
         }
         // Aggregate in the field once; the key list is shared by all plans.
         let (keys, by_row) = self.aggregate_batch(updates);
@@ -1727,22 +1732,31 @@ mod tests {
     }
 
     #[test]
-    fn batched_update_rejects_invalid_batch_atomically() {
+    fn batched_update_applies_the_valid_prefix() {
         use dgs_field::{Codec, Writer};
-        let mut sk = graph_sketch(6, 31);
-        let before = {
+        let encoded = |sk: &SpanningForestSketch| {
             let mut w = Writer::new();
             sk.encode(&mut w);
             w.into_bytes()
         };
+        let mut prefix = graph_sketch(20, 31);
+        prefix.update(&HyperEdge::pair(0, 1), 1);
         let batch = vec![
             (HyperEdge::pair(0, 1), 1i64),
             (HyperEdge::pair(0, 99), 1i64), // out of range
+            (HyperEdge::pair(2, 3), 1i64),
         ];
-        assert!(sk.try_update_batch(&batch).is_err());
-        let mut w = Writer::new();
-        sk.encode(&mut w);
-        assert_eq!(w.into_bytes(), before, "failed batch must apply nothing");
+        // 20 rows: two threads make two stripes.
+        for threads in [1usize, 2] {
+            let mut sk = graph_sketch(20, 31);
+            let (at, err) = sk.try_update_batch_striped(&batch, threads).unwrap_err();
+            assert_eq!(at, 1);
+            assert!(!err.is_retryable());
+            assert_eq!(encoded(&sk), encoded(&prefix), "{threads} threads");
+        }
+        let mut sk = graph_sketch(20, 31);
+        assert_eq!(sk.try_update_batch(&batch).unwrap_err().0, 1);
+        assert_eq!(encoded(&sk), encoded(&prefix));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! A player holds only [`PlayerMessage::new`]'s `O(polylog n)`-size state
 //! and processes its incident insert/delete stream with
-//! [`PlayerMessage::apply`]; the referee reassembles the full sketch with
+//! [`PlayerMessage::update`]; the referee reassembles the full sketch with
 //! [`assemble_players`]. Tests verify bit-for-bit equality with a centrally
 //! built sketch. Higher structures (k-skeletons, the Theorem 4/8/15/20
 //! structures) expose their own message types composed from this one — see
@@ -64,7 +64,7 @@ impl PlayerMessage {
     /// coefficient. Misrouted edges (not incident to the player), rank
     /// violations, and out-of-range vertices surface as
     /// [`SketchError::InvalidInput`].
-    pub fn try_apply(&mut self, space: &EdgeSpace, e: &HyperEdge, delta: i64) -> SketchResult<()> {
+    pub fn try_update(&mut self, space: &EdgeSpace, e: &HyperEdge, delta: i64) -> SketchResult<()> {
         if !e.contains(self.vertex) {
             return Err(SketchError::invalid(format!(
                 "edge {e:?} not incident to player {}",
@@ -96,9 +96,9 @@ impl PlayerMessage {
     ///
     /// # Panics
     /// Panics if `e` is not incident to the player's vertex; see
-    /// [`try_apply`](Self::try_apply).
-    pub fn apply(&mut self, space: &EdgeSpace, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_apply(space, e, delta) {
+    /// [`try_update`](Self::try_update).
+    pub fn update(&mut self, space: &EdgeSpace, e: &HyperEdge, delta: i64) {
+        if let Err(err) = self.try_update(space, e, delta) {
             panic!("{err}");
         }
     }
@@ -130,7 +130,7 @@ impl dgs_field::Codec for PlayerMessage {
 }
 
 /// Builds player `v`'s message from its complete local input (convenience
-/// over [`PlayerMessage::new`] + [`PlayerMessage::apply`]).
+/// over [`PlayerMessage::new`] + [`PlayerMessage::update`]).
 ///
 /// # Panics
 /// Panics if some listed edge is not incident to `v`.
@@ -143,7 +143,7 @@ pub fn player_sketch(
 ) -> PlayerMessage {
     let mut msg = PlayerMessage::new(space, v, seeds, params);
     for e in incident_edges {
-        msg.apply(space, e, 1);
+        msg.update(space, e, 1);
     }
     msg
 }
@@ -263,9 +263,9 @@ mod tests {
         let e1 = HyperEdge::pair(3, 5);
         let e2 = HyperEdge::pair(1, 3);
         let mut msg = PlayerMessage::new(&space, 3, &seeds, params);
-        msg.apply(&space, &e1, 1);
-        msg.apply(&space, &e2, 1);
-        msg.apply(&space, &e1, -1);
+        msg.update(&space, &e1, 1);
+        msg.update(&space, &e2, 1);
+        msg.update(&space, &e1, -1);
         // Equivalent message built from the net input.
         let net = player_sketch(&space, 3, std::slice::from_ref(&e2), &seeds, params);
         // Cell states must agree: verify via assembly + decode with the

@@ -40,6 +40,7 @@ use dgs_hypergraph::{Update, UpdateStream};
 use dgs_obs::{Counter, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
+use crate::hybrid::HybridConnectivitySketch;
 use crate::reconstruct::LightRecoverySketch;
 use crate::sparsify::HypergraphSparsifier;
 use crate::vertex_conn::VertexConnSketch;
@@ -167,16 +168,16 @@ fn io_err(path: &Path, e: std::io::Error) -> RecoveryError {
     }
 }
 
-/// A sketch that can be checkpointed and replayed into: binary-persistable
-/// state plus the linear update rule.
+/// The one update rule of every sketch the ingestors, the boosted ensemble
+/// and the recovery ladder drive: binary-persistable state plus the linear
+/// update (a deletion is a negative insertion).
 pub trait Recoverable: Codec {
-    /// Applies one stream update (a deletion is a negative insertion).
+    /// Applies one stream update.
     fn apply_update(&mut self, u: &Update) -> SketchResult<()>;
 
-    /// Applies a batch of stream updates, reporting a failure as the index
-    /// of the offending update plus its error. Implementations must leave
-    /// updates `0..i` applied exactly once and `i..` untouched on
-    /// `Err((i, _))`, so WAL replay offsets stay exact.
+    /// Applies a batch of stream updates. On `Err((i, _))` updates `0..i`
+    /// are applied exactly once and `i..` untouched — the one batch-failure
+    /// contract, which keeps WAL replay offsets and ingest counts exact.
     fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
         for (i, u) in batch.iter().enumerate() {
             self.apply_update(u).map_err(|e| (i, e))?;
@@ -192,57 +193,59 @@ pub trait Recoverable: Codec {
     }
 }
 
-macro_rules! recoverable_via_try_update {
-    ($($t:ty),* $(,)?) => {$(
-        impl Recoverable for $t {
-            fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
-                self.try_update(&u.edge, u.op.delta())
-            }
-        }
-    )*};
+impl Recoverable for KSkeletonSketch {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
 }
 
-recoverable_via_try_update!(
-    KSkeletonSketch,
-    VertexConnSketch,
-    HypergraphSparsifier,
-    LightRecoverySketch,
-);
-
-/// Sketches with a native batch kernel that validates the whole batch
-/// before touching any state (the forest, and the hybrid, which also
-/// validates before touching its buffer). A failed batch left no state
-/// behind, so the scalar loop can locate the offending index while
-/// preserving the applied-prefix contract.
-macro_rules! recoverable_via_batch_kernel {
-    ($($t:ty),* $(,)?) => {$(
-        impl Recoverable for $t {
-            fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
-                self.try_update(&u.edge, u.op.delta())
-            }
-
-            fn validate(&self, u: &Update) -> SketchResult<()> {
-                self.validate_edge(&u.edge)
-            }
-
-            fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
-                let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
-                    .iter()
-                    .map(|u| (u.edge.clone(), u.op.delta()))
-                    .collect();
-                if self.try_update_batch(&pairs).is_ok() {
-                    return Ok(());
-                }
-                for (i, u) in batch.iter().enumerate() {
-                    self.apply_update(u).map_err(|e| (i, e))?;
-                }
-                Ok(())
-            }
-        }
-    )*};
+impl Recoverable for VertexConnSketch {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
 }
 
-recoverable_via_batch_kernel!(SpanningForestSketch, crate::HybridConnectivitySketch);
+impl Recoverable for HypergraphSparsifier {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
+}
+
+impl Recoverable for LightRecoverySketch {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
+}
+
+/// The forest and the hybrid batch through their native kernels, which
+/// take the update slice as is and keep the applied-prefix contract.
+impl Recoverable for SpanningForestSketch {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
+
+    fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
+        self.try_update_batch(batch)
+    }
+
+    fn validate(&self, u: &Update) -> SketchResult<()> {
+        self.validate_edge(&u.edge)
+    }
+}
+
+impl Recoverable for HybridConnectivitySketch {
+    fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+        self.try_update(&u.edge, u.op.delta())
+    }
+
+    fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
+        self.try_update_batch(batch)
+    }
+
+    fn validate(&self, u: &Update) -> SketchResult<()> {
+        self.validate_edge(&u.edge)
+    }
+}
 
 /// Why a particular snapshot file was rejected. Internal to the ladder —
 /// rejected snapshots are skipped and counted, not surfaced as errors

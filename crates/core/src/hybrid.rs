@@ -59,9 +59,9 @@ use std::collections::BTreeMap;
 use dgs_connectivity::SpanningForestSketch;
 use dgs_field::{Codec, CodecError, Reader, Writer};
 use dgs_hypergraph::algo::UnionFind;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, VertexId};
+use dgs_hypergraph::{EdgeSpace, HyperEdge, SignedEdge, VertexId};
 use dgs_obs::{Counter, Gauge, MetricsSink};
-use dgs_sketch::SketchResult;
+use dgs_sketch::{SketchError, SketchResult};
 
 /// Codec magic/version byte for [`HybridConnectivitySketch`] frames.
 const HYBRID_MAGIC_V1: u8 = 0xB1;
@@ -296,7 +296,7 @@ impl HybridConnectivitySketch {
     fn spill(&mut self) -> SketchResult<()> {
         let _span = dgs_trace::child("dgs_core_hybrid_spill");
         let batch = self.buffer_batch(|m| m);
-        self.sketch.try_update_batch(&batch)?;
+        self.forward(&batch)?;
         self.mode = HybridMode::Spilled;
         self.metrics.spills.inc();
         self.metrics.resident.set(0);
@@ -308,7 +308,7 @@ impl HybridConnectivitySketch {
     fn unspill(&mut self) -> SketchResult<()> {
         let _span = dgs_trace::child("dgs_core_hybrid_unspill");
         let batch = self.buffer_batch(i64::wrapping_neg);
-        self.sketch.try_update_batch(&batch)?;
+        self.forward(&batch)?;
         self.mode = HybridMode::Resident;
         self.metrics.unspills.inc();
         self.metrics.resident.set(1);
@@ -366,56 +366,63 @@ impl HybridConnectivitySketch {
     }
 
     /// Batched signed updates. Bit-identical to calling
-    /// [`try_update`](Self::try_update) per entry in order — the threshold
-    /// state machine runs per update; only the *sketch forwarding* is
-    /// batched through [`SpanningForestSketch::try_update_batch`] — except
-    /// that an invalid entry rejects the entire batch before anything is
-    /// applied (matching the forest kernel's contract).
-    pub fn try_update_batch(&mut self, updates: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        for (e, _) in updates {
-            self.sketch.validate_edge(e)?;
-        }
-        // Updates owed to the sketch (spilled/untracked spans of the batch)
-        // but not yet applied; flushed before any state transition that
-        // reads the sketch, and at the end.
-        let mut pending: Vec<(HyperEdge, i64)> = Vec::new();
-        for (e, d) in updates {
+    /// [`try_update`](Self::try_update) per entry in order, failures
+    /// included: on an invalid entry `i` exactly the valid prefix `0..i` is
+    /// applied and `Err((i, error))` returned. The threshold state machine
+    /// runs per update; only the *sketch forwarding* is batched through
+    /// [`SpanningForestSketch::try_update_batch`].
+    pub fn try_update_batch<U: SignedEdge>(
+        &mut self,
+        updates: &[U],
+    ) -> Result<(), (usize, SketchError)> {
+        let (valid, invalid) = self.sketch.valid_prefix(updates);
+        // Validated updates cannot fail in the forest kernel.
+        self.apply_valid(valid).map_err(|e| (0, e))?;
+        self.metrics.buffer_bytes.set(self.buffer_footprint());
+        invalid.map_or(Ok(()), Err)
+    }
+
+    fn apply_valid<U: SignedEdge>(&mut self, updates: &[U]) -> SketchResult<()> {
+        // `updates[owed..]` is owed to the sketch (the spilled/untracked
+        // span of the batch so far); it is forwarded before any state
+        // transition that reads the sketch, and at the end.
+        let mut owed = 0;
+        for (i, u) in updates.iter().enumerate() {
             if self.mode == HybridMode::Untracked {
-                pending.push((e.clone(), *d));
                 continue;
             }
-            let rank = self.sketch.space().rank(e);
-            self.apply_buffered(rank, *d);
+            let rank = self.sketch.space().rank(u.edge());
+            self.apply_buffered(rank, u.delta());
             match self.mode {
                 HybridMode::Resident => {
+                    // A spill replays the buffer, this update included.
                     if self.buffer.len() > self.cfg.spill_threshold {
-                        // `pending` is empty here: it only accumulates while
-                        // spilled, and every un-spill drains it first.
                         self.spill()?;
                     }
+                    owed = i + 1;
                 }
                 HybridMode::Spilled => {
-                    pending.push((e.clone(), *d));
                     if self.buffer.len() > self.cfg.max_tracked_support {
-                        self.sketch.try_update_batch(&pending)?;
-                        pending.clear();
+                        self.forward(&updates[owed..=i])?;
+                        owed = i + 1;
                         self.untrack();
                     } else if self.buffer.len() <= self.cfg.unspill_threshold {
                         // The sketch must equal the buffered multiset before
                         // the subtraction, so settle the debt first.
-                        self.sketch.try_update_batch(&pending)?;
-                        pending.clear();
+                        self.forward(&updates[owed..=i])?;
+                        owed = i + 1;
                         self.unspill()?;
                     }
                 }
                 HybridMode::Untracked => {}
             }
         }
-        if !pending.is_empty() {
-            self.sketch.try_update_batch(&pending)?;
-        }
-        self.metrics.buffer_bytes.set(self.buffer_footprint());
-        Ok(())
+        self.forward(&updates[owed..])
+    }
+
+    /// Applies validated updates to the inner sketch in one batch.
+    fn forward<U: SignedEdge>(&mut self, updates: &[U]) -> SketchResult<()> {
+        self.sketch.try_update_batch(updates).map_err(|(_, e)| e)
     }
 
     /// Exact decode of the buffered support: union-find over every edge
@@ -529,12 +536,6 @@ fn canonical_labels(uf: &mut UnionFind, vertices: &[VertexId]) -> Vec<VertexId> 
         }
     }
     roots.into_iter().map(|r| min_of_root[r as usize]).collect()
-}
-
-impl crate::boost::BoostableSketch for HybridConnectivitySketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
 }
 
 impl Codec for HybridConnectivitySketch {
@@ -855,12 +856,13 @@ mod tests {
         let mut hybrid = HybridConnectivitySketch::new(forest(8, 6), cfg(4, 1));
         let err = hybrid.try_update(&pair(0, 99), 1).unwrap_err();
         assert!(!err.is_retryable());
-        // Batch rejection is atomic: nothing lands.
-        let err = hybrid
-            .try_update_batch(&[(pair(0, 1), 1), (pair(0, 99), 1)])
+        // A failed batch applies exactly its valid prefix.
+        let (at, err) = hybrid
+            .try_update_batch(&[(pair(0, 1), 1), (pair(0, 99), 1), (pair(2, 3), 1)])
             .unwrap_err();
+        assert_eq!(at, 1);
         assert!(!err.is_retryable());
-        assert_eq!(hybrid.support(), Some(0));
+        assert_eq!(hybrid.support(), Some(1));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! different threads, and batching lets the sketch kernels hoist hashing
 //! and exponentiation work out of the per-update loop (see
 //! `dgs_sketch::L0Sampler::update_batch` and
-//! `SpanningForestSketch::try_update_batch`).
+//! `SpanningForestSketch::try_update_batch`, reached through
+//! [`Recoverable::apply_batch`]).
 //!
 //! [`ShardedIngestor`] packages the pattern for boosted-repetition
 //! ingestion: it buffers the stream into fixed-size batches and, at each
@@ -21,49 +22,16 @@
 //! sequential ingestion for every `(threads, batch_size)` choice, which
 //! the property tests assert byte-for-byte.
 
-use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
+use dgs_hypergraph::{Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_pool::JobPanicked;
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::{BoostableSketch, BoostedQuery};
+use crate::boost::BoostedQuery;
+use crate::checkpoint::Recoverable;
 
-/// A sketch accepting batched signed hyperedge updates.
-///
-/// The default implementation falls back to per-update
-/// [`BoostableSketch::try_apply`], so every boostable sketch is batchable;
-/// structures with a native batch kernel (the spanning-forest sketch)
-/// override it. Implementations must be *bit-identical* to the scalar loop
-/// on valid batches; on an invalid batch a native implementation may reject
-/// the whole batch atomically where the scalar loop would have applied the
-/// valid prefix.
-pub trait BatchableSketch: BoostableSketch + Send {
-    /// Applies a batch of signed hyperedge updates.
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        for (e, delta) in batch {
-            self.try_apply(e, *delta)?;
-        }
-        Ok(())
-    }
-}
-
-impl BatchableSketch for dgs_connectivity::SpanningForestSketch {
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        self.try_update_batch(batch)
-    }
-}
-
-impl BatchableSketch for crate::HybridConnectivitySketch {
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        self.try_update_batch(batch)
-    }
-}
-
-impl BatchableSketch for dgs_connectivity::KSkeletonSketch {}
-impl BatchableSketch for crate::VertexConnSketch {}
-impl BatchableSketch for crate::EdgeConnSketch {}
-impl BatchableSketch for crate::LightRecoverySketch {}
-impl BatchableSketch for crate::HypergraphSparsifier {}
+/// One repetition's [`Recoverable::apply_batch`] result.
+type BatchResult = Result<(), (usize, SketchError)>;
 
 /// Metric handles for one ingestor; null (free) by default.
 #[derive(Debug, Default)]
@@ -105,11 +73,12 @@ impl IngestMetrics {
 /// repetition index and every repetition sees every batch in stream order,
 /// the result is bit-identical to sequential ingestion.
 ///
-/// Error handling: an invalid update is detected at the next flush. The
-/// forest sketch's native batch kernel rejects the whole batch atomically
-/// in every repetition, so the ingestor stays consistent; treat any flush
-/// error as fatal for the query (the stream itself is malformed —
-/// retrying cannot help).
+/// Error handling: an invalid update is detected at the next flush. Every
+/// repetition then holds exactly the updates before it
+/// ([`Recoverable::apply_batch`]'s applied-prefix contract), and
+/// [`ingested`](Self::ingested) counts them; the failing update and the
+/// rest of its batch are dropped. Treat a flush error as fatal for the
+/// query (the stream itself is malformed — retrying cannot help).
 #[derive(Debug)]
 pub struct ShardedIngestor<S> {
     /// Boosted repetitions in logical (seed) order.
@@ -119,7 +88,7 @@ pub struct ShardedIngestor<S> {
     /// this field, so the two can never disagree.
     stripes: usize,
     batch_size: usize,
-    buffer: Vec<(HyperEdge, i64)>,
+    buffer: Vec<Update>,
     ingested: u64,
     metrics: IngestMetrics,
     /// Kept to re-attach the striping pool's own metrics on every flush
@@ -127,10 +96,10 @@ pub struct ShardedIngestor<S> {
     sink: MetricsSink,
     /// Per-repetition flush results, kept across flush cycles (like
     /// `DecodeScratch`) so steady-state flushes allocate nothing.
-    results: Vec<Result<SketchResult<()>, JobPanicked>>,
+    results: Vec<Result<BatchResult, JobPanicked>>,
 }
 
-impl<S: BatchableSketch> ShardedIngestor<S> {
+impl<S: Recoverable + Send> ShardedIngestor<S> {
     /// Wraps already-built repetitions (must be independently seeded
     /// siblings — see [`BoostedQuery::new`]). `threads` above the
     /// repetition count is clamped down at construction: extra workers
@@ -199,9 +168,9 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         self.stripes
     }
 
-    /// Buffers one signed update, flushing if the batch is full.
-    pub fn push(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.buffer.push((e.clone(), delta));
+    /// Buffers one stream update, flushing if the batch is full.
+    pub fn push(&mut self, u: &Update) -> SketchResult<()> {
+        self.buffer.push(u.clone());
         self.metrics.queue_depth.set(self.buffer.len() as i64);
         if self.buffer.len() >= self.batch_size {
             self.flush()?;
@@ -209,15 +178,10 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         Ok(())
     }
 
-    /// Buffers one stream update, flushing if the batch is full.
-    pub fn push_update(&mut self, u: &Update) -> SketchResult<()> {
-        self.push(&u.edge, u.op.delta())
-    }
-
     /// Pushes every update of a stream (batching internally).
     pub fn ingest_stream(&mut self, stream: &UpdateStream) -> SketchResult<()> {
         for u in &stream.updates {
-            self.push_update(u)?;
+            self.push(u)?;
         }
         Ok(())
     }
@@ -228,7 +192,9 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
     /// batch after batch.
     ///
     /// A panic inside a repetition's batch kernel is caught on the worker
-    /// and surfaced as a typed [`SketchError`], never a panic.
+    /// and surfaced as a typed [`SketchError`], never a panic. On failure
+    /// the first failing repetition's applied prefix is added to
+    /// [`ingested`](Self::ingested).
     pub fn flush(&mut self) -> SketchResult<()> {
         if self.buffer.is_empty() {
             return Ok(());
@@ -242,7 +208,7 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
             &self.sink,
             &mut self.results,
             |t, s| {
-                s.try_apply_batch(batch)?;
+                s.apply_batch(batch)?;
                 if let Some(c) = shard_updates.get(t) {
                     c.add(batch.len() as u64);
                 }
@@ -251,9 +217,9 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         );
         let outcome = self.results.drain(..).try_for_each(|r| {
             r.unwrap_or_else(|JobPanicked| {
-                Err(SketchError::failure(
-                    "sharded-ingest",
-                    "ingest worker panicked",
+                Err((
+                    0,
+                    SketchError::failure("sharded-ingest", "ingest worker panicked"),
                 ))
             })
         });
@@ -261,7 +227,10 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         // The batch leaves the buffer even when it failed; clearing keeps
         // the buffer's capacity for the next fill.
         self.buffer.clear();
-        outcome?;
+        if let Err((prefix, e)) = outcome {
+            self.ingested += prefix as u64;
+            return Err(e);
+        }
         self.ingested += applied;
         self.metrics.updates.add(applied);
         self.metrics.queue_depth.set(0);
@@ -286,7 +255,7 @@ mod tests {
     use dgs_field::prng::*;
     use dgs_field::{Codec, SeedTree, Writer};
     use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-    use dgs_hypergraph::{EdgeSpace, Hypergraph};
+    use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
     use dgs_sketch::Profile;
 
     fn encoded<T: Codec>(t: &T) -> Vec<u8> {
@@ -316,7 +285,7 @@ mod tests {
 
         let mut serial = BoostedQuery::new(3, &build);
         for u in &stream.updates {
-            serial.try_update(&u.edge, u.op.delta()).unwrap();
+            serial.try_update(u).unwrap();
         }
         let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
@@ -350,13 +319,13 @@ mod tests {
 
         let mut serial = BoostedQuery::new(4, &build);
         for u in &stream.updates {
-            serial.try_update(&u.edge, u.op.delta()).unwrap();
+            serial.try_update(u).unwrap();
         }
         let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
         let mut ing = ShardedIngestor::with_build(4, 3, 64, &build);
         for (j, u) in stream.updates.iter().enumerate() {
-            ing.push_update(u).unwrap();
+            ing.push(u).unwrap();
             // Drain mid-batch on a stride that never aligns with the batch
             // size, forcing dozens of short pool scopes.
             if j % 5 == 0 {
@@ -376,7 +345,7 @@ mod tests {
         let build = forest_build(&space, &seeds, params);
         let mut ing = ShardedIngestor::with_build(1, 1, 3, &build);
         for v in 1..=4u32 {
-            ing.push(&HyperEdge::pair(0, v), 1).unwrap();
+            ing.push(&Update::insert(HyperEdge::pair(0, v))).unwrap();
         }
         // 4 pushes with batch_size 3: one flush happened, one update remains.
         assert_eq!(ing.ingested(), 3);
@@ -394,9 +363,12 @@ mod tests {
         let seeds = SeedTree::new(6);
         let build = forest_build(&space, &seeds, params);
         let mut ing = ShardedIngestor::with_build(2, 2, 8, &build);
-        ing.push(&HyperEdge::pair(0, 1), 1).unwrap();
-        ing.push(&HyperEdge::pair(0, 77), 1).unwrap(); // out of range
-        let err = ing.finish().unwrap_err();
+        ing.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
+        ing.push(&Update::insert(HyperEdge::pair(0, 77))).unwrap(); // out of range
+        let err = ing.flush().unwrap_err();
         assert!(!err.is_retryable());
+        // Every repetition holds the one update before the bad one.
+        assert_eq!(ing.ingested(), 1);
+        assert_eq!(ing.buffered(), 0);
     }
 }

@@ -43,14 +43,16 @@ pub mod sparsify;
 pub mod supervise;
 pub mod vertex_conn;
 
-pub use boost::{BoostableSketch, BoostedQuery, QueryOutcome};
+pub use boost::{
+    BoostedQuery, DecodeIncident, IncidentKind, QueryBudget, QueryOutcome, QueryPolicy,
+};
 pub use checkpoint::{
     CheckpointConfig, CheckpointStore, CheckpointedIngestor, Recoverable, Recovered,
     RecoveryDriver, RecoveryError,
 };
 pub use edge_conn::EdgeConnSketch;
 pub use hybrid::{HybridConfig, HybridConnectivitySketch, HybridMode};
-pub use ingest::{BatchableSketch, ShardedIngestor};
+pub use ingest::ShardedIngestor;
 pub use reconstruct::{LightRecovery, LightRecoverySketch};
 pub use service::{
     BreakerConfig, BrownoutConfig, ConnectivityService, Overload, QueryRequest, QueryResponse,
@@ -61,8 +63,8 @@ pub use sparsify::{
     HypergraphSparsifier, SparsifierConfig, SparsifierPlayerMessage, SparsifierResult,
 };
 pub use supervise::{
-    EnsembleOutcome, FrozenEnsemble, QueryBudget, QueryPolicy, ShardState, SupervisedAnswer,
-    SupervisedIngestor, SupervisorConfig,
+    EnsembleOutcome, FrozenEnsemble, ShardState, SupervisedAnswer, SupervisedIngestor,
+    SupervisorConfig,
 };
 pub use vertex_conn::{
     VertexConnCertificate, VertexConnConfig, VertexConnPlayerMessage, VertexConnSketch,

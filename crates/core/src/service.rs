@@ -56,11 +56,13 @@ use dgs_hypergraph::{Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::SketchResult;
 
+use crate::boost::{QueryBudget, QueryPolicy};
 use crate::checkpoint::{Recoverable, RecoveryError};
-use crate::supervise::{
-    FrozenEnsemble, QueryBudget, QueryPolicy, SupervisedAnswer, SupervisedIngestor,
-    SupervisorConfig,
-};
+use crate::supervise::{FrozenEnsemble, SupervisedAnswer, SupervisedIngestor, SupervisorConfig};
+
+/// Fraction of the deadline the cost estimate may fill before the
+/// repetition count is cut (head-room for aggregation and scheduling).
+const COST_HEADROOM: f64 = 0.8;
 
 /// Per-tenant token-bucket quota. One token buys one repetition-decode, so
 /// the refill rate is a ceiling on decode work per second rather than on
@@ -143,9 +145,6 @@ pub struct ServiceConfig {
     pub breaker: BreakerConfig,
     /// Brownout policy.
     pub brownout: BrownoutConfig,
-    /// Fraction of the deadline the cost estimate may fill before the
-    /// repetition count is cut (head-room for aggregation and scheduling).
-    pub cost_headroom: f64,
     /// Prior for the per-repetition decode cost EWMA, in nanoseconds.
     /// Seed it from the E19 query-latency baselines for the deployed
     /// sketch; it converges to observed behaviour within a few queries.
@@ -162,7 +161,6 @@ impl Default for ServiceConfig {
             recover_views: true,
             breaker: BreakerConfig::default(),
             brownout: BrownoutConfig::default(),
-            cost_headroom: 0.8,
             initial_cost_ns: 200_000,
         }
     }
@@ -438,11 +436,6 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
             "quota capacity and refill must be positive"
         );
         assert!(
-            cfg.cost_headroom > 0.0 && cfg.cost_headroom <= 1.0,
-            "cost headroom {} outside (0, 1]",
-            cfg.cost_headroom
-        );
-        assert!(
             cfg.brownout.min_repetitions >= 1,
             "brownout floor must be >= 1"
         );
@@ -637,7 +630,11 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
             ing.freeze()?
         };
         let epoch = view.epoch();
-        *lock_write(&t.view) = Arc::new(view);
+        // Swap under the lock, free after it: dropping the old view can
+        // release whole copy-on-write shards, and readers must not wait on
+        // that.
+        let old = std::mem::replace(&mut *lock_write(&t.view), Arc::new(view));
+        drop(old);
         t.metrics.view_refreshes.inc();
         t.metrics.view_lag.set(0);
         Ok(epoch)
@@ -659,7 +656,7 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
         decode: F,
     ) -> Result<QueryResponse<T>, ServiceError>
     where
-        T: Clone + PartialEq,
+        T: PartialEq,
         F: Fn(usize, &S) -> SketchResult<T>,
     {
         let t = self.tenant(tenant)?;
@@ -729,7 +726,7 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
             // Cost model: how many sequential decodes fit in the
             // remaining budget? (FirstSuccess normally consults one, but
             // admission must bound the worst case.)
-            let budget_ns = deadline.as_nanos() as f64 * self.cfg.cost_headroom;
+            let budget_ns = deadline.as_nanos() as f64 * COST_HEADROOM;
             let per_rep = adm.per_rep_cost_ns.max(1.0);
             let fit = (budget_ns / per_rep) as usize;
             if fit == 0 {
@@ -1270,5 +1267,109 @@ mod tests {
         for d in [&wal, &snap, &wal2, &snap2] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+
+    /// Blocks every [`Gated`] drop while armed, until opened — stands in
+    /// for freeing a large view.
+    #[derive(Debug, Default)]
+    struct Gate {
+        armed: std::sync::atomic::AtomicBool,
+        dropping: std::sync::atomic::AtomicBool,
+        open: Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    /// A shard that counts its updates and whose drop waits on its gate.
+    #[derive(Clone, Debug, Default)]
+    struct Gated {
+        applied: u64,
+        gate: Arc<Gate>,
+    }
+
+    impl Drop for Gated {
+        fn drop(&mut self) {
+            if self.gate.armed.load(Ordering::Acquire) {
+                self.gate.dropping.store(true, Ordering::Release);
+                let mut open = lock_mutex(&self.gate.open);
+                while !*open {
+                    open = self
+                        .gate
+                        .opened
+                        .wait(open)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    impl dgs_field::Codec for Gated {
+        fn encode(&self, w: &mut dgs_field::Writer) {
+            w.put_u64(self.applied);
+        }
+        fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
+            Ok(Gated {
+                applied: r.get_u64()?,
+                gate: Arc::default(),
+            })
+        }
+    }
+
+    impl Recoverable for Gated {
+        fn apply_update(&mut self, _: &Update) -> SketchResult<()> {
+            self.applied += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replaced_view_is_freed_outside_the_view_lock() {
+        let (wal, snap) = (tmpdir("gate-wal"), tmpdir("gate-snap"));
+        let gate = Arc::new(Gate::default());
+        let shard_gate = Arc::clone(&gate);
+        let svc = Arc::new(ConnectivityService::new(ServiceConfig {
+            refresh_interval: 0,
+            ..ServiceConfig::default()
+        }));
+        svc.add_tenant("t0", &wal, &snap, N, 2, sup_cfg(23), move |_| Gated {
+            applied: 0,
+            gate: Arc::clone(&shard_gate),
+        })
+        .unwrap();
+        // Ingest past the first view, so the live shards are copies and
+        // the view holds the only references to the originals.
+        svc.ingest_stream("t0", &workload(23, 32)).unwrap();
+        svc.flush("t0").unwrap();
+        gate.armed.store(true, Ordering::Release);
+        let refresh = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.refresh_view("t0").unwrap())
+        };
+        while !gate.dropping.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // The old view is being freed; a query must not wait for it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                let resp = svc.query("t0", &QueryRequest::default(), |_, s: &Gated| Ok(s.applied));
+                let _ = tx.send(resp.map(|r| r.epoch));
+            })
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(10));
+        gate.armed.store(false, Ordering::Release);
+        *lock_mutex(&gate.open) = true;
+        gate.opened.notify_all();
+        assert_eq!(refresh.join().unwrap(), 32);
+        reader.join().unwrap();
+        assert_eq!(
+            answered
+                .expect("query blocked while the old view was freed")
+                .unwrap(),
+            32
+        );
+        drop(svc);
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
     }
 }

@@ -139,8 +139,11 @@ impl HypergraphSparsifier {
     /// the edge.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
+        // Level 0 holds every edge: it validates the edge before the level
+        // hash ranks it (ranking a malformed edge would panic).
+        self.levels[0].try_update(e, delta)?;
         let top = self.edge_level(e);
-        for i in 0..=top {
+        for i in 1..=top {
             self.levels[i].try_update(e, delta)?;
         }
         Ok(())

@@ -13,7 +13,8 @@
 //!   a [`ShardState`]: `Healthy → Suspect → Quarantined → Rebuilding →
 //!   Healthy`. Typed [`SketchError`]s drive the transitions: a retryable
 //!   failure is retried under jittered exponential backoff
-//!   ([`dgs_hypergraph::fault::Backoff`]); a shard that keeps needing
+//!   ([`dgs_hypergraph::fault::Backoff`] on the default
+//!   [`BackoffConfig`] schedule); a shard that keeps needing
 //!   retries past its error budget, fails non-retryably, or exhausts its
 //!   backoff budget is **quarantined** — it stops receiving updates while
 //!   the healthy shards keep ingesting and answering.
@@ -27,8 +28,9 @@
 //!   periodically rebuilds one healthy shard from durable state and
 //!   byte-compares it against the live copy, replacing it on mismatch.
 //! * **Deadline-bounded degraded queries** — [`SupervisedIngestor::query`]
-//!   consults live repetitions under a [`QueryBudget`] (wall-clock
-//!   deadline, per-shard decode deadline, decode-step cap) and answers with
+//!   consults live repetitions through the ensemble layer's one resolver
+//!   ([`crate::boost`]) under a [`QueryBudget`] (wall-clock deadline,
+//!   per-shard decode deadline, decode-step cap) and answers with
 //!   a [`SupervisedAnswer`]: `Full` from a complete ensemble, `Degraded {
 //!   healthy_repetitions, effective_delta }` from a partial one, `Unknown`
 //!   when every live repetition failed its decode, `DeadlineExceeded` when
@@ -41,7 +43,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dgs_field::{Codec, Writer};
 use dgs_hypergraph::fault::{Backoff, BackoffConfig};
@@ -51,7 +53,9 @@ use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_pool::JobPanicked;
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::{BoostableSketch, BoostedQuery};
+use crate::boost::{
+    resolve, BoostedQuery, DecodeIncident, QueryBudget, QueryOutcome, QueryPolicy, Resolution,
+};
 use crate::checkpoint::{
     log_update, recover_to_cap, snapshot_at_log_offset, CheckpointConfig, CheckpointStore,
     Recoverable, RecoveryError,
@@ -119,8 +123,6 @@ pub struct SupervisorConfig {
     /// Decode incidents (failed, slow, or outvoted decodes) a shard may
     /// accumulate before it is quarantined.
     pub decode_error_budget: u32,
-    /// Backoff schedule for in-flush retry of retryable apply failures.
-    pub backoff: BackoffConfig,
     /// Flushes a shard stays quarantined before an automatic rebuild is
     /// attempted (rebuilds also retrigger after this many flushes if one
     /// fails).
@@ -133,7 +135,8 @@ pub struct SupervisorConfig {
     pub delta: f64,
     /// Durability policy: WAL segmentation and snapshot cadence/seed.
     pub checkpoint: CheckpointConfig,
-    /// Seed for backoff jitter (shard `i` uses `seed + i`).
+    /// Seed for the jitter of in-flush retries, which follow the default
+    /// [`BackoffConfig`] schedule (shard `i` uses `seed + i`).
     pub seed: u64,
 }
 
@@ -145,7 +148,6 @@ impl Default for SupervisorConfig {
             batch_size: 256,
             error_budget: 3,
             decode_error_budget: 3,
-            backoff: BackoffConfig::default(),
             rebuild_after_flushes: 1,
             scrub_interval: 0,
             delta: 0.5,
@@ -153,19 +155,6 @@ impl Default for SupervisorConfig {
             seed: 0x5e1f_4ea1,
         }
     }
-}
-
-/// Per-query resource budget. `None` fields are unlimited.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryBudget {
-    /// Wall-clock deadline for the whole query.
-    pub deadline: Option<Duration>,
-    /// Per-repetition decode deadline. A decode that succeeds late is still
-    /// *used* (correctness first) but counts as an incident against the
-    /// shard's decode budget.
-    pub per_shard_deadline: Option<Duration>,
-    /// Maximum repetitions consulted before resolving with what was seen.
-    pub max_decode_steps: Option<usize>,
 }
 
 /// The answer of a supervised query. The invariant across every variant:
@@ -234,37 +223,6 @@ impl<T> SupervisedAnswer<T> {
     }
 }
 
-/// How [`query_ensemble`] resolves multiple decodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryPolicy {
-    /// Stop at the first repetition that decodes (the paper's boosting).
-    FirstSuccess,
-    /// Consult every live repetition (within budget) and take the majority
-    /// value; outvoted repetitions are reported as incidents — the only
-    /// query-side defense against a silently diverged shard.
-    Majority,
-}
-
-/// What went wrong (or looked wrong) at one shard during a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IncidentKind {
-    /// Retryable decode failure (the expected δ event).
-    Failure,
-    /// Decode succeeded but blew its per-shard deadline.
-    Slow,
-    /// Decode succeeded but disagreed with the majority value.
-    Outvoted,
-}
-
-/// One query-side incident, attributed to a shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecodeIncident {
-    /// The shard (repetition index) involved.
-    pub shard: usize,
-    /// What happened.
-    pub kind: IncidentKind,
-}
-
 /// The raw outcome of [`query_ensemble`]: the answer plus per-shard
 /// incident attribution for the supervisor's decode budgets.
 #[derive(Clone, Debug)]
@@ -278,8 +236,8 @@ pub struct EnsembleOutcome<T> {
 }
 
 /// Resolves a query over the live members of a boosted ensemble under a
-/// [`QueryBudget`]. Standalone so tests can drive it with bare samplers
-/// and stub decoders; [`SupervisedIngestor::query`] delegates here.
+/// [`QueryBudget`] with the one resolver. Standalone so tests can drive it
+/// with bare samplers and stub decoders.
 ///
 /// `live` pairs each live repetition's index with its sketch; `total` is
 /// the configured ensemble size R; `delta` the per-repetition failure
@@ -294,136 +252,50 @@ pub fn query_ensemble<S, T, F>(
     decode: F,
 ) -> EnsembleOutcome<T>
 where
-    T: Clone + PartialEq,
+    T: PartialEq,
     F: Fn(usize, &S) -> SketchResult<T>,
 {
-    let start = Instant::now();
-    let healthy = live.len();
+    let resolution = resolve(live.iter().copied(), budget, policy, decode);
+    report(resolution, live.len(), total, delta)
+}
+
+/// Turns a resolution over `healthy` of `total` repetitions into a
+/// supervised answer carrying `effective_delta = delta^healthy`.
+fn report<T>(r: Resolution<T>, healthy: usize, total: usize, delta: f64) -> EnsembleOutcome<T> {
     let effective_delta = delta.powi(healthy as i32);
-    let mut incidents = Vec::new();
-    let mut consulted = 0usize;
-    let mut failed = 0usize;
-    let mut votes: Vec<(usize, T)> = Vec::new();
-
-    for &(shard, sketch) in live {
-        if budget
-            .deadline
-            .is_some_and(|limit| start.elapsed() >= limit)
-        {
-            // Out of time. Resolve with whatever has been decoded so far;
-            // with nothing decoded, the deadline is the answer.
-            if votes.is_empty() {
-                return EnsembleOutcome {
-                    answer: SupervisedAnswer::DeadlineExceeded {
-                        consulted,
-                        healthy_repetitions: healthy,
-                    },
-                    incidents,
-                    consulted,
-                };
-            }
-            break;
-        }
-        if budget.max_decode_steps.is_some_and(|cap| consulted >= cap) {
-            break;
-        }
-        consulted += 1;
-        // Inert (a thread-local read) unless the caller holds an ambient
-        // trace context — the span then records which shard was consulted
-        // and how long its decode took.
-        let span = dgs_trace::child("dgs_core_supervise_shard_decode");
-        let decode_start = Instant::now();
-        let outcome = decode(shard, sketch);
-        span.finish();
-        if budget
-            .per_shard_deadline
-            .is_some_and(|limit| decode_start.elapsed() > limit)
-        {
-            incidents.push(DecodeIncident {
-                shard,
-                kind: IncidentKind::Slow,
-            });
-        }
-        match outcome {
-            Ok(value) => {
-                votes.push((shard, value));
-                if policy == QueryPolicy::FirstSuccess {
-                    break;
-                }
-            }
-            Err(e) if e.is_retryable() => {
-                failed += 1;
-                incidents.push(DecodeIncident {
-                    shard,
-                    kind: IncidentKind::Failure,
-                });
-            }
-            Err(e) => {
-                return EnsembleOutcome {
-                    answer: SupervisedAnswer::Invalid(e),
-                    incidents,
-                    consulted,
-                };
-            }
-        }
-    }
-
-    let Some(value) = resolve_votes(&votes, policy, &mut incidents) else {
-        return EnsembleOutcome {
-            answer: SupervisedAnswer::Unknown {
-                healthy_repetitions: healthy,
-                total_repetitions: total,
-                effective_delta,
-            },
-            incidents,
-            consulted,
-        };
-    };
-    let answer = if healthy == total {
-        SupervisedAnswer::Full {
+    let answer = match r.outcome {
+        QueryOutcome::Invalid(e) => SupervisedAnswer::Invalid(e),
+        QueryOutcome::Unknown { .. } if r.deadline_exceeded => SupervisedAnswer::DeadlineExceeded {
+            consulted: r.consulted,
+            healthy_repetitions: healthy,
+        },
+        QueryOutcome::Unknown { .. } => SupervisedAnswer::Unknown {
+            healthy_repetitions: healthy,
+            total_repetitions: total,
+            effective_delta,
+        },
+        QueryOutcome::Answer {
             value,
-            failed_repetitions: failed,
-        }
-    } else {
-        SupervisedAnswer::Degraded {
+            failed_repetitions,
+        } if healthy == total => SupervisedAnswer::Full {
+            value,
+            failed_repetitions,
+        },
+        QueryOutcome::Answer {
+            value,
+            failed_repetitions,
+        } => SupervisedAnswer::Degraded {
             value,
             healthy_repetitions: healthy,
             total_repetitions: total,
             effective_delta,
-            failed_repetitions: failed,
-        }
+            failed_repetitions,
+        },
     };
     EnsembleOutcome {
         answer,
-        incidents,
-        consulted,
-    }
-}
-
-/// Picks the winning vote; under `Majority`, outvoted shards are reported
-/// as incidents. Returns `None` when no repetition decoded.
-fn resolve_votes<T: Clone + PartialEq>(
-    votes: &[(usize, T)],
-    policy: QueryPolicy,
-    incidents: &mut Vec<DecodeIncident>,
-) -> Option<T> {
-    match policy {
-        QueryPolicy::FirstSuccess => votes.first().map(|(_, v)| v.clone()),
-        QueryPolicy::Majority => {
-            let (_, winner) = votes.iter().max_by_key(|(_, candidate)| {
-                votes.iter().filter(|(_, v)| v == candidate).count()
-            })?;
-            let winner = winner.clone();
-            for (shard, v) in votes {
-                if *v != winner {
-                    incidents.push(DecodeIncident {
-                        shard: *shard,
-                        kind: IncidentKind::Outvoted,
-                    });
-                }
-            }
-            Some(winner)
-        }
+        incidents: r.incidents,
+        consulted: r.consulted,
     }
 }
 
@@ -491,17 +363,15 @@ impl<S> FrozenEnsemble<S> {
         decode: F,
     ) -> EnsembleOutcome<T>
     where
-        T: Clone + PartialEq,
+        T: PartialEq,
         F: Fn(usize, &S) -> SketchResult<T>,
     {
         let take = max_repetitions
             .unwrap_or(self.shards.len())
             .min(self.shards.len());
-        let live: Vec<(usize, &S)> = self.shards[..take]
-            .iter()
-            .map(|(i, s)| (*i, s.as_ref()))
-            .collect();
-        query_ensemble(&live, self.total, self.delta, budget, policy, decode)
+        let live = self.shards[..take].iter().map(|(i, s)| (*i, s.as_ref()));
+        let resolution = resolve(live, budget, policy, decode);
+        report(resolution, take, self.total, self.delta)
     }
 }
 
@@ -540,7 +410,7 @@ impl<S: Recoverable + Clone> Shard<S> {
     /// Applies `batch[pos..]`, honoring an injected fault first. Preserves
     /// the applied-prefix contract of [`Recoverable::apply_batch`]: on
     /// `Err((i, _))` relative to `pos`, exactly `pos..pos + i` were applied.
-    fn try_apply_from(&mut self, batch: &[Update], pos: usize) -> Result<(), (usize, SketchError)> {
+    fn apply_from(&mut self, batch: &[Update], pos: usize) -> Result<(), (usize, SketchError)> {
         if let Some(f) = self.fault.as_mut() {
             if f.remaining == 0 {
                 self.fault = None;
@@ -582,7 +452,7 @@ fn apply_with_retry<S: Recoverable + Clone>(
     let mut attempts = 0u32;
     let mut waited_ns = 0u64;
     loop {
-        match shard.try_apply_from(batch, pos) {
+        match shard.apply_from(batch, pos) {
             Ok(()) => {
                 return if attempts == 0 {
                     ApplyOutcome::Clean
@@ -787,7 +657,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
                 sketch: Arc::new(sketch),
                 health: ShardState::Healthy,
                 store,
-                backoff: Backoff::new(cfg.backoff, shard_seed(cfg.seed, i)),
+                backoff: Backoff::new(BackoffConfig::default(), shard_seed(cfg.seed, i)),
                 fault: None,
                 suspect_streak: 0,
                 quarantined_flushes: 0,
@@ -1209,63 +1079,36 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         Ok(())
     }
 
-    /// Answers a query from the live ensemble under `budget`, stopping at
-    /// the first repetition that decodes (the paper's boosting order).
-    /// Buffered updates are flushed first so the answer reflects every
-    /// pushed update.
+    /// Answers a query from the live ensemble under `budget`, resolved by
+    /// `policy`: `FirstSuccess` stops at the first repetition that decodes
+    /// (the paper's boosting order); `Majority` consults every live
+    /// repetition — slower, but the only query-side defense against a
+    /// silently diverged shard (outvoted shards accrue decode incidents and
+    /// are eventually quarantined). Buffered updates are flushed first so
+    /// the answer reflects every pushed update.
     pub fn query<T, F>(
-        &mut self,
-        budget: &QueryBudget,
-        decode: F,
-    ) -> Result<SupervisedAnswer<T>, RecoveryError>
-    where
-        T: Clone + PartialEq,
-        F: Fn(usize, &S) -> SketchResult<T>,
-    {
-        self.query_with_policy(budget, QueryPolicy::FirstSuccess, decode)
-    }
-
-    /// [`query`](Self::query) with every live repetition consulted and the
-    /// majority value taken — slower, but the only query-side defense
-    /// against a silently diverged shard (outvoted shards accrue decode
-    /// incidents and are eventually quarantined).
-    pub fn query_majority<T, F>(
-        &mut self,
-        budget: &QueryBudget,
-        decode: F,
-    ) -> Result<SupervisedAnswer<T>, RecoveryError>
-    where
-        T: Clone + PartialEq,
-        F: Fn(usize, &S) -> SketchResult<T>,
-    {
-        self.query_with_policy(budget, QueryPolicy::Majority, decode)
-    }
-
-    fn query_with_policy<T, F>(
         &mut self,
         budget: &QueryBudget,
         policy: QueryPolicy,
         decode: F,
     ) -> Result<SupervisedAnswer<T>, RecoveryError>
     where
-        T: Clone + PartialEq,
+        T: PartialEq,
         F: Fn(usize, &S) -> SketchResult<T>,
     {
         self.flush()?;
-        let live: Vec<(usize, &S)> = self
+        let live = self
             .shards
             .iter()
             .enumerate()
             .filter(|(_, s)| s.health.is_live())
-            .map(|(i, s)| (i, s.sketch.as_ref()))
-            .collect();
-        let outcome = query_ensemble(
-            &live,
+            .map(|(i, s)| (i, s.sketch.as_ref()));
+        let resolution = resolve(live, budget, policy, decode);
+        let outcome = report(
+            resolution,
+            self.live_repetitions(),
             self.shards.len(),
             self.cfg.delta,
-            budget,
-            policy,
-            decode,
         );
         match &outcome.answer {
             SupervisedAnswer::Full { .. } => self.metrics.answers_full.inc(),
@@ -1296,10 +1139,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
 
     /// Flushes, rebuilds every quarantined shard, and hands the full
     /// ensemble to [`BoostedQuery`] for unsupervised querying.
-    pub fn finish(mut self) -> Result<BoostedQuery<S>, RecoveryError>
-    where
-        S: BoostableSketch,
-    {
+    pub fn finish(mut self) -> Result<BoostedQuery<S>, RecoveryError> {
         self.flush()?;
         for i in 0..self.shards.len() {
             if !self.shards[i].health.is_live() {
@@ -1438,12 +1278,14 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::boost::IncidentKind;
     use dgs_connectivity::{ForestParams, SpanningForestSketch};
     use dgs_field::prng::{SeedableRng, StdRng};
     use dgs_field::SeedTree;
     use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
     use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
     use dgs_sketch::Profile;
+    use std::time::Duration;
 
     fn tmpdir(label: &str) -> PathBuf {
         static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -1644,9 +1486,11 @@ mod tests {
         sup.flush().unwrap();
         assert_eq!(sup.live_repetitions(), 2);
         let answer = sup
-            .query(&QueryBudget::default(), |_, s: &SpanningForestSketch| {
-                s.try_component_count()
-            })
+            .query(
+                &QueryBudget::default(),
+                QueryPolicy::FirstSuccess,
+                |_, s: &SpanningForestSketch| s.try_component_count(),
+            )
             .unwrap();
         match answer {
             SupervisedAnswer::Degraded {
@@ -1689,6 +1533,7 @@ mod tests {
             let _ = sup
                 .query(
                     &QueryBudget::default(),
+                    QueryPolicy::FirstSuccess,
                     |shard, s: &SpanningForestSketch| {
                         if shard == 0 {
                             Err(SketchError::failure("stub", "decode stall"))
@@ -2009,6 +1854,33 @@ mod tests {
                 kind: IncidentKind::Outvoted
             }]
         );
+    }
+
+    #[test]
+    fn majority_tie_goes_to_the_lowest_index_repetition() {
+        let wal = tmpdir("tie-wal");
+        let snap = tmpdir("tie-snap");
+        let cfg = SupervisorConfig {
+            repetitions: 4,
+            ..cfg(17)
+        };
+        let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, forest).unwrap();
+        let view = sup.freeze().unwrap();
+        // Votes 7, 42, 7, 42: a 2-2 tie, won by repetition 0's value.
+        let out = view.query(
+            &QueryBudget::default(),
+            QueryPolicy::Majority,
+            None,
+            |i, _| Ok(if i % 2 == 0 { 7 } else { 42 }),
+        );
+        match out.answer {
+            SupervisedAnswer::Full { value, .. } => assert_eq!(value, 7),
+            other => panic!("expected Full, got {other:?}"),
+        }
+        let outvoted: Vec<usize> = out.incidents.iter().map(|i| i.shard).collect();
+        assert_eq!(outvoted, [1, 3]);
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl VertexConnSketch {
                     .iter()
                     .all(|&x| sampled.binary_search(&x).is_ok())
                 {
-                    msg.apply(space, e, 1);
+                    msg.update(space, e, 1);
                 }
             }
             per_subgraph.push((i as u32, msg));

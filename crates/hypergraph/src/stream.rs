@@ -62,6 +62,35 @@ impl Update {
     }
 }
 
+/// A hyperedge with the signed delta a linear sketch adds for it: a stream
+/// [`Update`] (±1) or a net `(edge, multiplicity)` pair. Batch kernels take
+/// a slice of either, so the ingestors hand them their update buffers
+/// without copying.
+pub trait SignedEdge {
+    /// The affected hyperedge.
+    fn edge(&self) -> &HyperEdge;
+    /// The signed multiplicity change.
+    fn delta(&self) -> i64;
+}
+
+impl SignedEdge for Update {
+    fn edge(&self) -> &HyperEdge {
+        &self.edge
+    }
+    fn delta(&self) -> i64 {
+        self.op.delta()
+    }
+}
+
+impl SignedEdge for (HyperEdge, i64) {
+    fn edge(&self) -> &HyperEdge {
+        &self.0
+    }
+    fn delta(&self) -> i64 {
+        self.1
+    }
+}
+
 /// A dynamic hypergraph stream with declared dimensions.
 #[derive(Clone, Debug)]
 pub struct UpdateStream {

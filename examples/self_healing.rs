@@ -125,9 +125,11 @@ fn main() {
 
     // --- Queries: majority vote, deadline-bounded, never wrong ------------
     let answer = sup
-        .query_majority(&budget, |_, s: &SpanningForestSketch| {
-            s.try_component_count()
-        })
+        .query(
+            &budget,
+            QueryPolicy::Majority,
+            |_, s: &SpanningForestSketch| s.try_component_count(),
+        )
         .expect("query");
     let mut reference = {
         let space = EdgeSpace::graph(n).unwrap();

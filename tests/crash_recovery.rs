@@ -553,24 +553,86 @@ fn batched_wal_replay_is_bit_identical_and_reports_exact_offsets() {
     fs::remove_dir_all(&wal_dir).unwrap();
     fs::remove_dir_all(&snap_dir).unwrap();
 
-    // The apply_batch contract replay offsets rely on: a failure reports
-    // the in-batch index of the bad update, with updates before it applied
-    // exactly once and none after.
+    // The apply_batch contract replay offsets rely on, for every
+    // `Recoverable` sketch type: a failure reports the in-batch index of the
+    // bad update, with updates before it applied exactly once and none
+    // after.
     let good = workload(0xBA7D, 12);
     let mut batch: Vec<Update> = good.updates[..10].to_vec();
     batch.insert(7, Update::insert(HyperEdge::pair(0, 99))); // out of range
-    let mut via_batch = forest(12, 5);
-    let (bad_index, _) = via_batch.apply_batch(&batch).unwrap_err();
-    assert_eq!(bad_index, 7);
-    let mut via_scalar = forest(12, 5);
-    for u in &batch[..7] {
+    let space = EdgeSpace::graph(12).unwrap();
+    let params = ForestParams::new(Profile::Practical, space.dimension());
+    let seeds = SeedTree::new(5);
+    let hybrid = |cfg| HybridConnectivitySketch::new(forest(12, 5), cfg);
+    let spilling = HybridConfig {
+        spill_threshold: 2,
+        unspill_threshold: 1,
+        max_tracked_support: 64,
+    };
+    assert_prefix_applied("forest", &batch, 7, || forest(12, 5));
+    let resident = assert_prefix_applied("hybrid", &batch, 7, || hybrid(HybridConfig::default()));
+    assert!(resident.is_resident());
+    let spilled = assert_prefix_applied("hybrid", &batch, 7, || hybrid(spilling));
+    assert_eq!(spilled.mode(), HybridMode::Spilled);
+    assert_prefix_applied("k-skeleton", &batch, 7, || {
+        KSkeletonSketch::new(space.clone(), 2, &seeds, params)
+    });
+    assert_prefix_applied("vertex-conn", &batch, 7, || vconn(12, 5));
+    assert_prefix_applied("light-recovery", &batch, 7, || {
+        LightRecoverySketch::new(space.clone(), 2, &seeds, params)
+    });
+    assert_prefix_applied("sparsifier", &batch, 7, || {
+        HypergraphSparsifier::new(
+            space.clone(),
+            SparsifierConfig::explicit(2, 3, params),
+            &seeds,
+        )
+    });
+
+    // The same contract through a failed `ShardedIngestor` flush: every
+    // repetition holds exactly the scalar prefix.
+    let rep = |i: usize| forest(12, 5 + i as u64);
+    let mut ing = ShardedIngestor::with_build(3, 2, batch.len(), rep);
+    for u in &batch[..batch.len() - 1] {
+        ing.push(u).unwrap();
+    }
+    assert!(!ing
+        .push(&batch[batch.len() - 1])
+        .unwrap_err()
+        .is_retryable());
+    assert_eq!(ing.ingested(), 7);
+    let boosted = ing.finish().unwrap();
+    for (i, got) in boosted.sketches().iter().enumerate() {
+        let mut want = rep(i);
+        for u in &batch[..7] {
+            want.apply_update(u).unwrap();
+        }
+        assert_eq!(encoded(got), encoded(&want), "repetition {i}");
+    }
+}
+
+/// Applies `batch`, whose update `bad` is invalid, through `apply_batch`
+/// and checks the batch contract against a scalar replay of the prefix.
+fn assert_prefix_applied<T: Recoverable>(
+    label: &str,
+    batch: &[Update],
+    bad: usize,
+    fresh: impl Fn() -> T,
+) -> T {
+    let mut via_batch = fresh();
+    let (bad_index, err) = via_batch.apply_batch(batch).unwrap_err();
+    assert_eq!(bad_index, bad, "{label}: failing index");
+    assert!(!err.is_retryable(), "{label}: {err}");
+    let mut via_scalar = fresh();
+    for u in &batch[..bad] {
         via_scalar.apply_update(u).unwrap();
     }
     assert_eq!(
         encoded(&via_batch),
         encoded(&via_scalar),
-        "failed batch must leave exactly the prefix applied"
+        "{label}: failed batch must leave exactly the prefix applied"
     );
+    via_batch
 }
 
 /// Supervision property (DESIGN.md, "Failure domains & degradation

@@ -329,7 +329,7 @@ fn boosting_drives_the_failure_rate_down() {
 
         // Whenever the boosted query answers, the answer is a real element
         // of the vector with its true weight — never a fabricated one.
-        match boosted.query(|s| s.sample()) {
+        match boosted.query(QueryPolicy::FirstSuccess, |s| s.sample()) {
             QueryOutcome::Answer { value, .. } => {
                 let (idx, w) = value.expect("nonzero vector certified zero");
                 assert!(support.contains(&idx), "sampled index {idx} not in support");
@@ -509,9 +509,11 @@ fn degraded_queries_widen_delta_but_never_the_answer() {
         assert_eq!(sup.live_repetitions(), live, "rung {rung}");
         let truth = prefix_component_count(&stream, consumed);
         let answer = sup
-            .query(&QueryBudget::default(), |_, s: &SpanningForestSketch| {
-                s.try_component_count()
-            })
+            .query(
+                &QueryBudget::default(),
+                QueryPolicy::FirstSuccess,
+                |_, s: &SpanningForestSketch| s.try_component_count(),
+            )
             .unwrap();
         match answer {
             SupervisedAnswer::Full { value, .. } => {
@@ -580,7 +582,7 @@ fn partial_ensemble_unknown_rate_respects_the_widened_bound() {
     // configured R = 4, over adversarial insert/delete vectors. The
     // observed Unknown rate must stay within 2x of the *widened* bound
     // δ^R' — and every answer must still be a true churn survivor.
-    use dynamic_graph_streams::core::supervise::{query_ensemble, QueryPolicy};
+    use dynamic_graph_streams::core::supervise::query_ensemble;
     use std::collections::BTreeSet;
 
     const DIM: u64 = 2016; // C(64, 2): a graph-scale index space

@@ -278,38 +278,34 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
     let mut rng = StdRng::seed_from_u64(0x75);
     for trial in 0..6u64 {
         let stream = random_stream(n, 120, &mut rng);
-        let mut pairs: Vec<(HyperEdge, i64)> = stream
-            .updates
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
+        let mut updates = stream.updates.clone();
         // Salt with cancelling insert/delete pairs at random positions.
         for _ in 0..10 {
             let a = rng.gen_range(0u32..n as u32);
             let b = (a + 1 + rng.gen_range(0u32..(n - 1) as u32)) % n as u32;
-            let at = rng.gen_range(0..=pairs.len());
-            pairs.insert(at, (HyperEdge::pair(a, b), -1));
-            pairs.insert(at, (HyperEdge::pair(a, b), 1));
+            let at = rng.gen_range(0..=updates.len());
+            updates.insert(at, Update::delete(HyperEdge::pair(a, b)));
+            updates.insert(at, Update::insert(HyperEdge::pair(a, b)));
         }
         let space = EdgeSpace::graph(n).unwrap();
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let seeds = SeedTree::new(0xF0 + trial);
 
         let mut seq = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-        for (e, d) in &pairs {
-            seq.try_update(e, *d).unwrap();
+        for u in &updates {
+            seq.try_update(&u.edge, u.op.delta()).unwrap();
         }
         let expected = encoded(&seq);
 
         for batch in [1usize, 7, 256] {
             let mut sk = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-            for chunk in pairs.chunks(batch) {
+            for chunk in updates.chunks(batch) {
                 sk.try_update_batch(chunk).unwrap();
             }
             assert_eq!(encoded(&sk), expected, "trial {trial}, batch {batch}");
             for threads in [2usize, 5] {
                 let mut sk = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-                for chunk in pairs.chunks(batch) {
+                for chunk in updates.chunks(batch) {
                     sk.try_update_batch_striped(chunk, threads).unwrap();
                 }
                 assert_eq!(
@@ -325,14 +321,14 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
             SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params)
         };
         let mut serial = BoostedQuery::new(3, build);
-        for (e, d) in &pairs {
-            serial.try_update(e, *d).unwrap();
+        for u in &updates {
+            serial.try_update(u).unwrap();
         }
         let expected_reps: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
         for (threads, batch) in [(1usize, 7usize), (2, 64), (3, 256)] {
             let mut ing = ShardedIngestor::with_build(3, threads, batch, build);
-            for (e, d) in &pairs {
-                ing.push(e, *d).unwrap();
+            for u in &updates {
+                ing.push(u).unwrap();
             }
             let boosted = ing.finish().unwrap();
             let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
@@ -362,26 +358,22 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
     let n = 12;
     let mut rng = StdRng::seed_from_u64(0xD00F);
     let stream = random_stream(n, 140, &mut rng);
-    let pairs: Vec<(HyperEdge, i64)> = stream
-        .updates
-        .iter()
-        .map(|u| (u.edge.clone(), u.op.delta()))
-        .collect();
+    let updates = &stream.updates;
     let space = EdgeSpace::graph(n).unwrap();
     let params = ForestParams::new(Profile::Practical, space.dimension());
     let seeds = SeedTree::new(0xD00F);
 
     // Sequential references: single sketch and 5 boosted repetitions.
     let mut seq = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-    for (e, d) in &pairs {
-        seq.try_update(e, *d).unwrap();
+    for u in updates {
+        seq.try_update(&u.edge, u.op.delta()).unwrap();
     }
     let expected = encoded(&seq);
     let build =
         |i: usize| SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params);
     let mut serial = BoostedQuery::new(5, build);
-    for (e, d) in &pairs {
-        serial.try_update(e, *d).unwrap();
+    for u in updates {
+        serial.try_update(u).unwrap();
     }
     let expected_reps: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
@@ -392,14 +384,14 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
         for batch in [1usize, 3, 4, 5, 8, 64] {
             // Striped forest updates share the pool with the ingestor runs.
             let mut sk = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-            for chunk in pairs.chunks(batch) {
+            for chunk in updates.chunks(batch) {
                 sk.try_update_batch_striped(chunk, threads).unwrap();
             }
             assert_eq!(encoded(&sk), expected, "striped t={threads}, b={batch}");
 
             let mut ing = ShardedIngestor::with_build(5, threads, batch, build);
-            for (j, (e, d)) in pairs.iter().enumerate() {
-                ing.push(e, *d).unwrap();
+            for (j, u) in updates.iter().enumerate() {
+                ing.push(u).unwrap();
                 // Mid-batch drains at a stride coprime to every batch size.
                 if j % 17 == 0 {
                     ing.flush().unwrap();
