@@ -1330,8 +1330,38 @@ impl dgs_field::Codec for ForestParams {
     }
 }
 
+/// Sentinel first word of a versioned forest frame. The original layout
+/// begins with the vertex count `n <= 2^32`, so `u64::MAX` can never be
+/// its first word.
+const FOREST_SENTINEL: u64 = u64::MAX;
+/// Forest layout version 2: sampler parameters written once per round.
+const FOREST_V2: u64 = 2;
+/// Per-sampler flag: the sampler's parameters equal its round's block.
+const SAMPLER_SHARED: u8 = 1;
+/// Per-sampler flag: the sampler's parameters follow inline.
+const SAMPLER_INLINE: u8 = 0;
+
+/// Version 2 layout:
+///
+/// ```text
+/// u64 FOREST_SENTINEL | u64 2 | u64 n | u64 max_rank | Vec<u64> vertices
+/// | u64 rounds | rounds x round
+/// round   = u8 has_block | [L0Sampler params] | |vertices| x sampler
+/// sampler = u8 flag | [L0Sampler params if flag = inline] | L0Sampler cells
+/// ```
+///
+/// Every sampler of a round is drawn from the round's seed, so a round's
+/// block (the parameters of its first sampler) is written once, and each
+/// sampler whose parameters compare equal to it writes only a flag byte
+/// and its nonzero cells. The encoder compares the parameters before it
+/// sets the flag: a sampler that differs (a referee can assemble a vertex
+/// from any compatible player message) is written inline, so the encoding
+/// is exact for every state. The original layout (`u64 n | … |
+/// Vec<L0Sampler>`) still decodes.
 impl dgs_field::Codec for SpanningForestSketch {
     fn encode(&self, w: &mut dgs_field::Writer) {
+        w.put_u64(FOREST_SENTINEL);
+        w.put_u64(FOREST_V2);
         w.put_usize(self.space.n());
         w.put_usize(self.space.max_rank());
         self.vertices
@@ -1340,30 +1370,92 @@ impl dgs_field::Codec for SpanningForestSketch {
             .collect::<Vec<u64>>()
             .encode(w);
         w.put_usize(self.rounds);
-        self.samplers.encode(w);
+        let nv = self.vertices.len();
+        for r in 0..self.rounds {
+            let round = &self.samplers[r * nv..(r + 1) * nv];
+            let Some(block) = round.first() else {
+                w.put_u8(0);
+                continue;
+            };
+            w.put_u8(1);
+            block.encode_params(w);
+            for s in round {
+                if s.same_params(block) {
+                    w.put_u8(SAMPLER_SHARED);
+                } else {
+                    w.put_u8(SAMPLER_INLINE);
+                    s.encode_params(w);
+                }
+                s.encode_cells(w);
+            }
+        }
     }
     fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
-        let bad = |message: String| dgs_field::CodecError { offset: 0, message };
-        let n = r.get_len(1 << 32)?;
+        let first = r.get_u64()?;
+        let versioned = first == FOREST_SENTINEL;
+        let n = if versioned {
+            let version = r.get_u64()?;
+            if version != FOREST_V2 {
+                return Err(r.fail(format!("unknown forest encoding version {version}")));
+            }
+            r.get_len(1 << 32)?
+        } else if first > 1 << 32 {
+            return Err(r.fail(format!("vertex count {first} exceeds 2^32")));
+        } else {
+            first as usize
+        };
         let max_rank = r.get_len(64)?;
         let space =
-            EdgeSpace::new(n, max_rank).map_err(|e| bad(format!("invalid edge space: {e}")))?;
+            EdgeSpace::new(n, max_rank).map_err(|e| r.fail(format!("invalid edge space: {e}")))?;
         let vertices_raw: Vec<u64> = Vec::decode(r)?;
         let vertices: Vec<VertexId> = vertices_raw.iter().map(|&v| v as VertexId).collect();
-        if vertices.windows(2).any(|w| w[0] >= w[1]) || vertices.iter().any(|&v| (v as usize) >= n)
+        if vertices_raw.windows(2).any(|w| w[0] >= w[1])
+            || vertices_raw.iter().any(|&v| v >= n as u64)
         {
-            return Err(bad("vertex list not sorted/unique/in-range".into()));
+            return Err(r.fail("vertex list not sorted/unique/in-range"));
         }
         let rounds = r.get_len(256)?;
-        let samplers: Vec<L0Sampler> = Vec::decode(r)?;
-        if samplers.len() != rounds * vertices.len() {
-            return Err(bad(format!(
-                "sampler count {} != rounds {} x vertices {}",
-                samplers.len(),
-                rounds,
-                vertices.len()
-            )));
-        }
+        let nv = vertices.len();
+        let samplers: Vec<L0Sampler> = if versioned {
+            // Grown as samplers arrive: each costs at least nine input
+            // bytes, so a forged vertex list cannot size the allocation.
+            let mut samplers = Vec::new();
+            for round in 0..rounds {
+                let block = match r.get_u8()? {
+                    0 => None,
+                    1 => Some(L0Sampler::decode_params(r)?),
+                    b => return Err(r.fail(format!("round {round}: bad block marker {b}"))),
+                };
+                for _ in 0..nv {
+                    let mut s = match (r.get_u8()?, &block) {
+                        (SAMPLER_SHARED, Some(block)) => block.clone(),
+                        (SAMPLER_SHARED, None) => {
+                            return Err(r.fail(format!(
+                                "round {round}: shared-parameter flag without a block"
+                            )))
+                        }
+                        (SAMPLER_INLINE, _) => L0Sampler::decode_params(r)?,
+                        (flag, _) => {
+                            return Err(r.fail(format!("round {round}: bad sampler flag {flag}")))
+                        }
+                    };
+                    s.read_cells(r)?;
+                    samplers.push(s);
+                }
+            }
+            samplers
+        } else {
+            let samplers: Vec<L0Sampler> = Vec::decode(r)?;
+            if samplers.len() != rounds * nv {
+                return Err(r.fail(format!(
+                    "sampler count {} != rounds {} x vertices {}",
+                    samplers.len(),
+                    rounds,
+                    nv
+                )));
+            }
+            samplers
+        };
         let mut vpos = vec![u32::MAX; n];
         for (i, &v) in vertices.iter().enumerate() {
             vpos[v as usize] = i as u32;
@@ -1733,12 +1825,6 @@ mod tests {
 
     #[test]
     fn batched_update_applies_the_valid_prefix() {
-        use dgs_field::{Codec, Writer};
-        let encoded = |sk: &SpanningForestSketch| {
-            let mut w = Writer::new();
-            sk.encode(&mut w);
-            w.into_bytes()
-        };
         let mut prefix = graph_sketch(20, 31);
         prefix.update(&HyperEdge::pair(0, 1), 1);
         let batch = vec![
@@ -1764,6 +1850,100 @@ mod tests {
         let sk = graph_sketch(6, 9);
         assert!(sk.decode().is_empty());
         assert_eq!(sk.component_count(), 6);
+    }
+
+    fn encoded(sk: &SpanningForestSketch) -> Vec<u8> {
+        use dgs_field::{Codec, Writer};
+        let mut w = Writer::new();
+        sk.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn round_trip(sk: &SpanningForestSketch) -> SpanningForestSketch {
+        use dgs_field::{Codec, Reader};
+        let bytes = encoded(sk);
+        let mut r = Reader::new(&bytes);
+        let back = <SpanningForestSketch as Codec>::decode(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(encoded(&back), bytes, "re-encoding changed the bytes");
+        back
+    }
+
+    #[test]
+    fn encoded_size_follows_live_support_not_updates() {
+        let n = 64;
+        let fresh = graph_sketch(n, 40);
+        let fresh_bytes = encoded(&fresh);
+        assert!(
+            fresh_bytes.len() <= 64 * 1024,
+            "fresh n={n} forest encodes to {} bytes",
+            fresh_bytes.len()
+        );
+        // Churn that cancels leaves exactly the fresh state, so exactly the
+        // fresh bytes.
+        let mut rng = StdRng::seed_from_u64(41);
+        let g = gnp(n, 0.2, &mut rng);
+        let mut churned = graph_sketch(n, 40);
+        load_graph(&mut churned, &g);
+        for (u, v) in g.edges() {
+            churned.update(&HyperEdge::pair(u, v), -1);
+        }
+        assert_eq!(encoded(&churned), fresh_bytes);
+        // Ten live edges encode the same after 2 or after hundreds of
+        // updates, and more live edges encode to more bytes.
+        let live: Vec<HyperEdge> = (0..10).map(|i| HyperEdge::pair(i, i + 20)).collect();
+        let mut direct = graph_sketch(n, 40);
+        direct.apply_edges(live.iter(), 1);
+        churned.apply_edges(live.iter(), 1);
+        load_graph(&mut churned, &g);
+        for (u, v) in g.edges() {
+            churned.update(&HyperEdge::pair(u, v), -1);
+        }
+        let ten = encoded(&direct);
+        assert_eq!(encoded(&churned), ten);
+        let mut denser = direct.clone();
+        let more: Vec<HyperEdge> = (0..30).map(|i| HyperEdge::pair(i + 30, i)).collect();
+        denser.apply_edges(more.iter(), 1);
+        assert!(fresh_bytes.len() < ten.len() && ten.len() < encoded(&denser).len());
+        let back = round_trip(&denser);
+        assert_eq!(back.decode(), denser.decode());
+    }
+
+    #[test]
+    fn shared_and_inline_sampler_parameters_round_trip() {
+        let n = 10;
+        let space = EdgeSpace::graph(n).unwrap();
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        let seeds = SeedTree::new(77).child(42);
+        let edges: Vec<HyperEdge> = (0..n as VertexId - 1)
+            .map(|i| HyperEdge::pair(i, i + 1))
+            .collect();
+        // Every round shares round 0's parameters: each round's block is
+        // still the parameters of its own first sampler.
+        let mut shared =
+            SpanningForestSketch::new_full_shared_rounds(space.clone(), &seeds, params);
+        shared.apply_edges(edges.iter(), 1);
+        assert_eq!(round_trip(&shared).decode(), shared.decode());
+        // A vertex assembled from a message drawn under the same seeds with
+        // a different level-hash independence is compatible, but its
+        // parameters differ from the round's block, so they are written
+        // inline.
+        let mut mixed = SpanningForestSketch::new_full(space.clone(), &seeds, params);
+        let other = ForestParams {
+            l0: L0Params {
+                level_independence: params.l0.level_independence + 1,
+                ..params.l0
+            },
+            ..params
+        };
+        let foreign = vertex_samplers_for(&space, n, &seeds, other);
+        assert!(!foreign[0].same_params(&mixed.vertex_samplers(3)[0]));
+        mixed.set_vertex_samplers(3, foreign.clone());
+        mixed.apply_edges(edges.iter(), 1);
+        let back = round_trip(&mixed);
+        assert!(back.vertex_samplers(3)[0].same_params(&foreign[0]));
+        assert!(back.vertex_samplers(4)[0].same_params(&mixed.vertex_samplers(4)[0]));
+        assert_eq!(back.decode(), mixed.decode());
     }
 
     #[test]

@@ -339,23 +339,27 @@ impl CheckpointStore {
         manifest.put_u64(fnv1a64(&payload));
         let manifest = manifest.into_bytes();
 
-        let mut bytes = SNAPSHOT_MAGIC.to_vec();
-        let mut frame = Writer::new();
-        frame.put_u32(manifest.len() as u32);
-        frame.put_u64(fnv1a64(&manifest));
-        frame.put_bytes(&manifest);
-        bytes.extend_from_slice(&frame.into_bytes());
-        bytes.extend_from_slice(&payload);
+        // The header (magic + manifest frame) and the payload are written
+        // back to back; the payload is never copied into a second buffer.
+        let mut head = Writer::new();
+        head.put_bytes(SNAPSHOT_MAGIC);
+        head.put_u32(manifest.len() as u32);
+        head.put_u64(fnv1a64(&manifest));
+        head.put_bytes(&manifest);
+        let head = head.into_bytes();
 
         let path = snapshot_path(&self.dir, offset);
         let tmp = self.dir.join(format!("snap-{offset:012}.tmp"));
         {
             let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            f.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
+            f.write_all(&head).map_err(|e| io_err(&tmp, e))?;
+            f.write_all(&payload).map_err(|e| io_err(&tmp, e))?;
             f.sync_all().map_err(|e| io_err(&tmp, e))?;
         }
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        self.metrics.snapshot_bytes.add(bytes.len() as u64);
+        self.metrics
+            .snapshot_bytes
+            .add((head.len() + payload.len()) as u64);
         self.metrics.snapshots_written.inc();
         timer.observe();
         Ok(path)

@@ -96,7 +96,8 @@ impl<'a> Reader<'a> {
         Reader { data, pos: 0 }
     }
 
-    fn fail(&self, message: impl Into<String>) -> CodecError {
+    /// A decoding failure at the current position.
+    pub fn fail(&self, message: impl Into<String>) -> CodecError {
         CodecError {
             offset: self.pos,
             message: message.into(),

@@ -682,24 +682,135 @@ impl L0Sampler {
     }
 }
 
+/// Most levels a decoded sampler may carry; `levels_for_dimension` never
+/// exceeds 66.
+const MAX_LEVELS: usize = 128;
+
+/// Persistence in two halves, so a container of many samplers drawn from
+/// one seed (a forest sketch's round) can write the parameters once:
+///
+/// ```text
+/// params = u64 dimension | u64 seed_tag | UniformHash | u64 levels
+///          | levels x SparseRecovery params
+/// cells  = u64 listed | listed x SparseRecovery cells
+/// ```
+///
+/// `listed` is one past the last level holding a nonzero cell; every later
+/// level is zero and written as nothing. Levels at or past the `touched`
+/// watermark are zero by invariant and are never scanned.
+impl L0Sampler {
+    /// True iff `other` was drawn with the same parameters (dimension, seed
+    /// tag, level hash, and every level's sparsity, fingerprint point and
+    /// row hashes), so both write the same
+    /// [`encode_params`](Self::encode_params) bytes.
+    pub fn same_params(&self, other: &L0Sampler) -> bool {
+        self.dimension == other.dimension
+            && self.seed_tag == other.seed_tag
+            && self.level_hash.inner().coefficients() == other.level_hash.inner().coefficients()
+            && self.levels.len() == other.levels.len()
+            && self
+                .levels
+                .iter()
+                .zip(&other.levels)
+                .all(|(a, b)| a.same_params(b))
+    }
+
+    /// Writes the parameter half: everything but the cells.
+    pub fn encode_params(&self, w: &mut dgs_field::Writer) {
+        use dgs_field::Codec;
+        w.put_u64(self.dimension);
+        w.put_u64(self.seed_tag);
+        self.level_hash.encode(w);
+        w.put_usize(self.levels.len());
+        for level in &self.levels {
+            level.encode_params(w);
+        }
+    }
+
+    /// Writes the cell half: the listed-level count, then each listed
+    /// level's nonzero cells.
+    pub fn encode_cells(&self, w: &mut dgs_field::Writer) {
+        let listed = self.levels[..self.touched]
+            .iter()
+            .rposition(|l| !l.is_zero())
+            .map_or(0, |j| j + 1);
+        w.put_usize(listed);
+        for level in &self.levels[..listed] {
+            level.encode_cells(w);
+        }
+    }
+
+    /// Reads the parameter half into a sampler with zero state.
+    pub fn decode_params(
+        r: &mut dgs_field::Reader<'_>,
+    ) -> Result<L0Sampler, dgs_field::CodecError> {
+        use dgs_field::Codec;
+        let dimension = r.get_u64()?;
+        let seed_tag = r.get_u64()?;
+        let level_hash = UniformHash::decode(r)?;
+        let count = r.get_len(MAX_LEVELS)?;
+        if count == 0 {
+            return Err(r.fail("sampler with zero levels"));
+        }
+        let levels = (0..count)
+            .map(|_| SparseRecovery::decode_params(r))
+            .collect::<Result<_, _>>()?;
+        Ok(L0Sampler {
+            level_hash,
+            levels,
+            dimension,
+            seed_tag,
+            touched: 0,
+            metrics: L0Metrics::default(),
+        })
+    }
+
+    /// Reads the cell half into this sampler, which must hold zero state:
+    /// fresh from [`decode_params`](Self::decode_params), or a clone of
+    /// such a sampler, which is how one parameter block serves many cell
+    /// blocks. A cell block whose last listed level is zero is rejected,
+    /// so every accepted block re-encodes to the same bytes.
+    pub fn read_cells(
+        &mut self,
+        r: &mut dgs_field::Reader<'_>,
+    ) -> Result<(), dgs_field::CodecError> {
+        let listed = r.get_len(self.levels.len())?;
+        for level in &mut self.levels[..listed] {
+            level.read_cells(r)?;
+        }
+        if listed > 0 && self.levels[listed - 1].is_zero() {
+            return Err(r.fail(format!("listed level {} is zero", listed - 1)));
+        }
+        self.touched = listed;
+        Ok(())
+    }
+}
+
 impl dgs_field::Codec for L0Sampler {
+    /// `u64 dimension | u64 seed_tag | UniformHash | u64 levels | levels x
+    /// SparseRecovery frame`: each level is a whole frame, so samplers
+    /// written before the v2 sparse-recovery layout still decode.
     fn encode(&self, w: &mut dgs_field::Writer) {
         w.put_u64(self.dimension);
         w.put_u64(self.seed_tag);
         self.level_hash.encode(w);
-        self.levels.encode(w);
+        w.put_usize(self.levels.len());
+        for (j, level) in self.levels.iter().enumerate() {
+            level.encode_frame(w, j >= self.touched);
+        }
     }
     fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
+        use dgs_field::Codec;
         let dimension = r.get_u64()?;
         let seed_tag = r.get_u64()?;
         let level_hash = UniformHash::decode(r)?;
-        let levels: Vec<SparseRecovery> = Vec::decode(r)?;
-        if levels.is_empty() {
-            return Err(dgs_field::CodecError {
-                offset: 0,
-                message: "sampler with zero levels".into(),
-            });
+        let count = r.get_len(MAX_LEVELS)?;
+        if count == 0 {
+            return Err(r.fail("sampler with zero levels"));
         }
+        let levels: Vec<SparseRecovery> = (0..count)
+            .map(|_| <SparseRecovery as Codec>::decode(r))
+            .collect::<Result<_, _>>()?;
         // The touched-prefix watermark is not encoded; rederive it from the
         // state. "Last level with any nonzero cell" is sound: it can only
         // undershoot the historical watermark when the extra levels hold

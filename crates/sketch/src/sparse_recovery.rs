@@ -18,9 +18,32 @@
 //! ([`plan_into`](SparseRecovery::plan_into) /
 //! [`apply_soa`](SparseRecovery::apply_soa)) hoists the `z^index`
 //! exponentiation and bucket hashing out of the per-cell loop entirely.
-//! The [`Codec`](dgs_field::Codec) encoding is versioned: new encodes carry
-//! a sentinel marker, while decoding still accepts the original
-//! array-of-`OneSparse` layout.
+//!
+//! # Encoding
+//!
+//! The [`Codec`](dgs_field::Codec) encoding is versioned. Every frame
+//! written today is SoA version 2:
+//!
+//! ```text
+//! u64 SOA_SENTINEL | u64 2 | params | cells
+//! params = u64 dimension | u64 sparsity | Fingerprinter | Vec<KWiseHash>
+//! cells  = u64 count | count x (u32 index | u64 w | u64 s | u64 f)
+//! ```
+//!
+//! `cells` lists, by ascending flat index into the `rows x cols` tables,
+//! exactly the cells whose three values are not all zero, so the bytes
+//! follow the live support (a cancelled update leaves nothing behind) and
+//! equal states encode to equal bytes. The table size is never read: it
+//! is `rows x cols` from the validated parameters, capped at
+//! [`MAX_TABLE_CELLS`]. Two older layouts still decode: SoA version 1
+//! (`u64 SOA_SENTINEL | u64 1 | params | Vec<Fp> w | Vec<Fp> s | Vec<Fp>
+//! f`, every cell in full) and the original sentinel-free array of
+//! `OneSparse` cells (`params | Vec<OneSparse>`).
+//!
+//! The `params` and `cells` halves are also written and read separately
+//! inside the crate, so that [`L0Sampler`](crate::L0Sampler) can offer the
+//! same split to a container holding many samplers with one parameter set,
+//! which then writes it once.
 
 use dgs_field::{Fingerprinter, Fp, KWiseHash, SeedTree};
 use dgs_obs::{Counter, Histogram, MetricsSink};
@@ -32,8 +55,24 @@ use crate::one_sparse::{OneSparse, OneSparseDecode};
 /// with the dimension, which the workspace caps at `2^60`, so `u64::MAX`
 /// can never be a legacy first word.
 const SOA_SENTINEL: u64 = u64::MAX;
-/// Version number of the SoA encoding (room for future layouts).
-const SOA_VERSION: u64 = 1;
+/// SoA version 1: the three tables written in full (decode only).
+const SOA_V1: u64 = 1;
+/// SoA version 2: only the nonzero cells are written (the layout encoded).
+const SOA_V2: u64 = 2;
+
+/// The largest `rows x cols` table a decoded frame may imply. A frame over
+/// it is rejected before anything is allocated. The largest table any
+/// [`Profile`](crate::Profile) builds is 16,384 cells (`Theory` at
+/// dimension `2^64`), so the cap leaves 16x headroom while bounding what
+/// one forged frame can make the decoder allocate (6 MiB).
+/// [`SparseRecovery::new`] does not enforce it: a structure built past the
+/// cap (only the uncoded Becker baseline can be) encodes, but its frame is
+/// rejected on decode. The cap bounds one frame, not a container: a
+/// sampler or forest frame decodes to the tables its parameters declare,
+/// however few cells it lists, so bytes from outside the process are
+/// checksummed before they are decoded (snapshots and channel frames
+/// are).
+pub const MAX_TABLE_CELLS: usize = 1 << 18;
 
 /// Metric handles for one structure; null (free) by default, shared across
 /// clones so aggregated copies keep feeding the same counters. Excluded from
@@ -587,85 +626,210 @@ impl SparseRecovery {
         let cells: Vec<OneSparse> = (0..self.w.len()).map(|i| self.cell(i)).collect();
         cells.encode(w);
     }
-}
 
-impl dgs_field::Codec for SparseRecovery {
-    fn encode(&self, w: &mut dgs_field::Writer) {
-        w.put_u64(SOA_SENTINEL);
-        w.put_u64(SOA_VERSION);
+    /// True iff `other` was drawn with the same parameters: dimension,
+    /// sparsity, fingerprint point and every row hash. Two such structures
+    /// encode identical [`encode_params`](Self::encode_params) bytes.
+    pub(crate) fn same_params(&self, other: &SparseRecovery) -> bool {
+        self.dimension == other.dimension
+            && self.sparsity == other.sparsity
+            && self.fper.point() == other.fper.point()
+            && self.hashes.len() == other.hashes.len()
+            && self
+                .hashes
+                .iter()
+                .zip(&other.hashes)
+                .all(|(a, b)| a.coefficients() == b.coefficients())
+    }
+
+    /// Writes the parameter half of a v2 frame: dimension, sparsity,
+    /// fingerprinter and row hashes.
+    pub(crate) fn encode_params(&self, w: &mut dgs_field::Writer) {
+        use dgs_field::Codec;
         w.put_u64(self.dimension);
         w.put_usize(self.sparsity);
         self.fper.encode(w);
-        self.hashes.to_vec().encode(w);
-        self.w.encode(w);
-        self.s.encode(w);
-        self.f.encode(w);
+        w.put_usize(self.hashes.len());
+        for h in &self.hashes {
+            h.encode(w);
+        }
     }
-    fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
-        let first = r.get_u64()?;
-        let (soa, dimension) = if first == SOA_SENTINEL {
-            let version = r.get_u64()?;
-            if version != SOA_VERSION {
-                return Err(dgs_field::CodecError {
-                    offset: 0,
-                    message: format!("unknown sparse-recovery encoding version {version}"),
-                });
-            }
-            (true, r.get_u64()?)
+
+    /// Writes the cell half of a v2 frame: the count of cells whose three
+    /// values are not all zero, then each as `(u32 index, w, s, f)` in
+    /// ascending index order.
+    pub(crate) fn encode_cells(&self, w: &mut dgs_field::Writer) {
+        let live = |i: usize| !(self.w[i].is_zero() && self.s[i].is_zero() && self.f[i].is_zero());
+        let n = self.w.len();
+        w.put_usize((0..n).filter(|&i| live(i)).count());
+        for i in (0..n).filter(|&i| live(i)) {
+            w.put_u32(i as u32);
+            w.put_u64(self.w[i].value());
+            w.put_u64(self.s[i].value());
+            w.put_u64(self.f[i].value());
+        }
+    }
+
+    /// Writes a whole v2 frame; `known_zero` skips the cell scan for a
+    /// structure the caller knows holds zero state.
+    pub(crate) fn encode_frame(&self, w: &mut dgs_field::Writer, known_zero: bool) {
+        w.put_u64(SOA_SENTINEL);
+        w.put_u64(SOA_V2);
+        self.encode_params(w);
+        if known_zero {
+            debug_assert!(self.is_zero());
+            w.put_usize(0);
         } else {
-            // Legacy layout: the first word was the dimension itself.
-            (false, first)
-        };
+            self.encode_cells(w);
+        }
+    }
+
+    /// Reads the parameter half of a v2 frame (see `encode_params`) into
+    /// a structure with zero state. The table
+    /// shape is validated, and capped at [`MAX_TABLE_CELLS`], before the
+    /// tables are allocated.
+    pub(crate) fn decode_params(
+        r: &mut dgs_field::Reader<'_>,
+    ) -> Result<SparseRecovery, dgs_field::CodecError> {
+        let dimension = r.get_u64()?;
+        let (sparsity, fper, hashes) = Self::decode_param_fields(r)?;
+        Self::with_zero_tables(r, dimension, sparsity, fper, hashes)
+    }
+
+    /// Sparsity, fingerprinter and row hashes: the same bytes in every
+    /// layout. The row count is bounded and the rows are read one by one,
+    /// so a forged count allocates nothing up front.
+    fn decode_param_fields(
+        r: &mut dgs_field::Reader<'_>,
+    ) -> Result<(usize, Fingerprinter, Vec<KWiseHash>), dgs_field::CodecError> {
+        use dgs_field::Codec;
         let sparsity = r.get_len(1 << 30)?.max(1);
         let fper = Fingerprinter::decode(r)?;
-        let hashes: Vec<KWiseHash> = Vec::decode(r)?;
-        let (w, s, f) = if soa {
-            let w: Vec<Fp> = Vec::decode(r)?;
-            let s: Vec<Fp> = Vec::decode(r)?;
-            let f: Vec<Fp> = Vec::decode(r)?;
-            (w, s, f)
-        } else {
-            let cells: Vec<OneSparse> = Vec::decode(r)?;
-            let mut w = Vec::with_capacity(cells.len());
-            let mut s = Vec::with_capacity(cells.len());
-            let mut f = Vec::with_capacity(cells.len());
-            for c in &cells {
-                let (cw, cs, cf) = c.parts();
-                w.push(cw);
-                s.push(cs);
-                f.push(cf);
-            }
-            (w, s, f)
-        };
+        let rows = r.get_len(MAX_TABLE_CELLS)?;
+        let hashes = (0..rows)
+            .map(|_| KWiseHash::decode(r))
+            .collect::<Result<_, _>>()?;
+        Ok((sparsity, fper, hashes))
+    }
+
+    /// Validates `rows x cols` against [`MAX_TABLE_CELLS`] and allocates
+    /// zeroed tables.
+    fn with_zero_tables(
+        r: &dgs_field::Reader<'_>,
+        dimension: u64,
+        sparsity: usize,
+        fper: Fingerprinter,
+        hashes: Vec<KWiseHash>,
+    ) -> Result<SparseRecovery, dgs_field::CodecError> {
         let cols = 2 * sparsity;
-        if hashes.is_empty()
-            || w.len() != hashes.len() * cols
-            || s.len() != w.len()
-            || f.len() != w.len()
-        {
-            return Err(dgs_field::CodecError {
-                offset: 0,
-                message: format!(
-                    "inconsistent sparse-recovery shape: {} hashes, {}/{}/{} cells, {} cols",
-                    hashes.len(),
-                    w.len(),
-                    s.len(),
-                    f.len(),
-                    cols
-                ),
-            });
+        let cells = hashes.len().saturating_mul(cols);
+        if hashes.is_empty() || cells > MAX_TABLE_CELLS {
+            return Err(r.fail(format!(
+                "sparse-recovery table of {} rows x {cols} cols outside 1..={MAX_TABLE_CELLS} cells",
+                hashes.len()
+            )));
         }
         Ok(SparseRecovery {
             fper,
             hashes,
-            w,
-            s,
-            f,
+            w: vec![Fp::ZERO; cells],
+            s: vec![Fp::ZERO; cells],
+            f: vec![Fp::ZERO; cells],
             cols,
             sparsity,
             dimension,
             metrics: SparseMetrics::default(),
         })
+    }
+
+    /// Reads the cell half of a v2 frame (see `encode_cells`) into this
+    /// structure, which must hold zero state (fresh from `decode_params`). Rejects
+    /// indices past the table or out of ascending order, listed all-zero
+    /// cells and non-canonical field values, so every accepted frame
+    /// re-encodes to the same bytes.
+    pub(crate) fn read_cells(
+        &mut self,
+        r: &mut dgs_field::Reader<'_>,
+    ) -> Result<(), dgs_field::CodecError> {
+        debug_assert!(self.is_zero(), "read_cells needs zero state");
+        let n = self.w.len();
+        let count = r.get_len(n)?;
+        let mut next = 0usize;
+        for _ in 0..count {
+            let i = r.get_u32()? as usize;
+            if i < next || i >= n {
+                return Err(r.fail(format!(
+                    "cell index {i} out of order or past the {n}-cell table"
+                )));
+            }
+            next = i + 1;
+            let mut parts = [Fp::ZERO; 3];
+            for p in &mut parts {
+                let v = r.get_u64()?;
+                *p = Fp::new(v);
+                if p.value() != v {
+                    return Err(r.fail(format!("non-canonical field value {v}")));
+                }
+            }
+            if parts.iter().all(|p| p.is_zero()) {
+                return Err(r.fail(format!("listed cell {i} is zero")));
+            }
+            [self.w[i], self.s[i], self.f[i]] = parts;
+        }
+        Ok(())
+    }
+}
+
+impl dgs_field::Codec for SparseRecovery {
+    fn encode(&self, w: &mut dgs_field::Writer) {
+        self.encode_frame(w, false);
+    }
+    fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
+        let first = r.get_u64()?;
+        if first != SOA_SENTINEL {
+            // Legacy layout: the first word was the dimension itself.
+            let (sparsity, fper, hashes) = Self::decode_param_fields(r)?;
+            let cells: Vec<OneSparse> = Vec::decode(r)?;
+            let mut out = Self::with_zero_tables(r, first, sparsity, fper, hashes)?;
+            if cells.len() != out.w.len() {
+                return Err(r.fail(format!(
+                    "legacy frame carries {} cells for a {}-cell table",
+                    cells.len(),
+                    out.w.len()
+                )));
+            }
+            for (i, c) in cells.iter().enumerate() {
+                (out.w[i], out.s[i], out.f[i]) = c.parts();
+            }
+            return Ok(out);
+        }
+        match r.get_u64()? {
+            SOA_V2 => {
+                let mut out = Self::decode_params(r)?;
+                out.read_cells(r)?;
+                Ok(out)
+            }
+            SOA_V1 => {
+                let dimension = r.get_u64()?;
+                let (sparsity, fper, hashes) = Self::decode_param_fields(r)?;
+                let mut out = Self::with_zero_tables(r, dimension, sparsity, fper, hashes)?;
+                for table in [&mut out.w, &mut out.s, &mut out.f] {
+                    let got: Vec<Fp> = Vec::decode(r)?;
+                    if got.len() != table.len() {
+                        return Err(r.fail(format!(
+                            "v1 frame carries a {}-cell table, shape implies {}",
+                            got.len(),
+                            table.len()
+                        )));
+                    }
+                    *table = got;
+                }
+                Ok(out)
+            }
+            version => Err(r.fail(format!(
+                "unknown sparse-recovery encoding version {version}"
+            ))),
+        }
     }
 }
 
@@ -849,5 +1013,88 @@ mod tests {
         s.encode(&mut wa);
         back.encode(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
+    }
+
+    #[test]
+    fn v1_soa_frame_still_decodes_and_reencodes_as_v2() {
+        let mut s = sr(23, 4);
+        for (i, d) in [(42u64, 2i64), (77, -1), (D - 5, 3)] {
+            s.update(i, d).unwrap();
+        }
+        // The documented v1 layout, assembled from primitives:
+        // sentinel | 1 | dimension | sparsity | fingerprint point
+        // | Vec<KWiseHash> | Vec<Fp> w | Vec<Fp> s | Vec<Fp> f.
+        let mut v1 = Writer::new();
+        v1.put_u64(u64::MAX);
+        v1.put_u64(1);
+        v1.put_u64(s.dimension);
+        v1.put_usize(s.sparsity);
+        v1.put_u64(s.fper.point().value());
+        v1.put_usize(s.hashes.len());
+        for h in &s.hashes {
+            v1.put_usize(h.coefficients().len());
+            for c in h.coefficients() {
+                v1.put_u64(c.value());
+            }
+        }
+        for table in [&s.w, &s.s, &s.f] {
+            v1.put_usize(table.len());
+            for x in table {
+                v1.put_u64(x.value());
+            }
+        }
+        let v1 = v1.into_bytes();
+        let mut r = Reader::new(&v1);
+        let back = <SparseRecovery as Codec>::decode(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(back.decode(), s.decode());
+        let (mut wa, mut wb) = (Writer::new(), Writer::new());
+        s.encode(&mut wa);
+        back.encode(&mut wb);
+        let v2 = wb.into_bytes();
+        assert_eq!(wa.into_bytes(), v2);
+        assert_eq!(v2[8..16], SOA_V2.to_le_bytes());
+        assert!(v2.len() < v1.len());
+    }
+
+    #[test]
+    fn v2_cells_follow_support_and_reject_noncanonical_lists() {
+        let encode = |s: &SparseRecovery| {
+            let mut w = Writer::new();
+            s.encode(&mut w);
+            w.into_bytes()
+        };
+        let fresh = sr(24, 4);
+        let mut s = fresh.clone();
+        s.update(9, 1).unwrap();
+        // One item lands in one cell per row: 6 listed cells of 28 bytes.
+        assert_eq!(encode(&s).len(), encode(&fresh).len() + 6 * 28);
+        s.update(9, -1).unwrap();
+        assert_eq!(encode(&s), encode(&fresh));
+
+        let cells_at = encode(&fresh).len() - 8;
+        let forged = |cells: &[(u32, [u64; 3])]| {
+            let mut bytes = encode(&fresh)[..cells_at].to_vec();
+            bytes.extend_from_slice(&(cells.len() as u64).to_le_bytes());
+            for (i, parts) in cells {
+                bytes.extend_from_slice(&i.to_le_bytes());
+                for p in parts {
+                    bytes.extend_from_slice(&p.to_le_bytes());
+                }
+            }
+            <SparseRecovery as Codec>::decode(&mut Reader::new(&bytes))
+        };
+        assert!(forged(&[(3, [1, 2, 3])]).is_ok());
+        assert!(
+            forged(&[(3, [1, 2, 3]), (2, [1, 2, 3])]).is_err(),
+            "descending"
+        );
+        assert!(
+            forged(&[(3, [1, 2, 3]), (3, [1, 2, 3])]).is_err(),
+            "repeated"
+        );
+        assert!(forged(&[(48, [1, 2, 3])]).is_err(), "past the table");
+        assert!(forged(&[(3, [0, 0, 0])]).is_err(), "zero cell");
+        assert!(forged(&[(3, [u64::MAX, 0, 0])]).is_err(), "non-canonical");
     }
 }

@@ -8,6 +8,62 @@ use dynamic_graph_streams::prelude::*;
 
 use dgs_hypergraph::generators;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Largest single allocation made on this thread since the last reset.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording the largest allocation per thread so a
+/// test can show a forged frame is rejected before its claimed size is
+/// ever allocated.
+struct RecordingAlloc;
+
+impl RecordingAlloc {
+    fn record(size: usize) {
+        let _ = LARGEST_ALLOC.try_with(|l| l.set(l.get().max(size)));
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the recording touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for RecordingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: RecordingAlloc = RecordingAlloc;
+
+/// Runs `f` and returns its result with the largest allocation it made on
+/// this thread.
+fn largest_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST_ALLOC.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST_ALLOC.with(|l| l.get()))
+}
+
+fn encoded<T: Codec>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.encode(&mut w);
+    w.into_bytes()
+}
+
 fn round_trip<T: Codec>(value: &T) -> T {
     let mut w = Writer::new();
     value.encode(&mut w);
@@ -242,6 +298,33 @@ fn adversarial_bytes_never_panic_any_codec() {
     forest.update(&HyperEdge::pair(0, 1), 1);
     assert_decode_rejects_corruption(&forest, "SpanningForestSketch");
 
+    // A forest whose vertex 2 was assembled from a compatible message drawn
+    // with another level hash: its samplers are written with inline
+    // parameters, every other vertex's with the round's shared block.
+    let other = ForestParams {
+        l0: L0Params {
+            level_independence: 3,
+            ..tiny
+        },
+        ..params
+    };
+    let foreign = SpanningForestSketch::new_full(space.clone(), &seeds.child(5), other);
+    let mut mixed = forest.clone();
+    mixed.set_vertex_samplers(2, foreign.vertex_samplers(2));
+    mixed.update(&HyperEdge::pair(2, 3), 1);
+    assert_decode_rejects_corruption(&mixed, "SpanningForestSketch (shared + inline)");
+
+    // A resident hybrid persists its exact buffer and a dormant all-zero
+    // sketch: parameters without cells.
+    let mut hybrid = HybridConnectivitySketch::new(
+        SpanningForestSketch::new_full(space.clone(), &seeds.child(11), params),
+        HybridConfig::default(),
+    );
+    hybrid.try_update(&HyperEdge::pair(1, 4), 1).unwrap();
+    hybrid.try_update(&HyperEdge::pair(3, 5), 1).unwrap();
+    assert!(hybrid.is_resident());
+    assert_decode_rejects_corruption(&hybrid, "HybridConnectivitySketch (resident)");
+
     let mut skel = KSkeletonSketch::new(space.clone(), 2, &seeds.child(6), params);
     skel.update(&HyperEdge::pair(1, 2), 1);
     assert_decode_rejects_corruption(&skel, "KSkeletonSketch");
@@ -273,4 +356,160 @@ fn adversarial_bytes_never_panic_any_codec() {
         &[HyperEdge::pair(0, 5)],
     );
     assert_decode_rejects_corruption(&sp_msg, "SparsifierPlayerMessage");
+}
+
+/// Forged frames that claim huge tables or reference missing parameters
+/// are rejected with a typed error before anything of the claimed size is
+/// allocated.
+#[test]
+fn forged_v2_frames_fail_without_large_allocations() {
+    use dynamic_graph_streams::field::Fingerprinter;
+    use dynamic_graph_streams::sketch::SparseRecovery;
+
+    // A v2 sparse-recovery frame whose sparsity claims 2^30: one row would
+    // imply a 2^31-cell table (48 GiB of field elements).
+    let seeds = SeedTree::new(5);
+    let mut w = Writer::new();
+    w.put_u64(u64::MAX); // sentinel
+    w.put_u64(2); // version
+    w.put_u64(1 << 20); // dimension
+    w.put_u64(1 << 30); // sparsity
+    Fingerprinter::new(&seeds).encode(&mut w);
+    w.put_u64(1); // rows
+    dynamic_graph_streams::field::KWiseHash::new(&seeds.child(1), 2).encode(&mut w);
+    w.put_u64(0); // no cells
+    let frame = w.into_bytes();
+    let (res, largest) =
+        largest_alloc_during(|| <SparseRecovery as Codec>::decode(&mut Reader::new(&frame)));
+    let err = res.expect_err("2^30 sparsity accepted");
+    assert!(err.message.contains("cells"), "{err}");
+    assert!(largest < 1 << 20, "allocated {largest} bytes");
+
+    // A v2 forest frame whose only round has no parameter block while its
+    // samplers' flags say "same parameters as this round's block".
+    let mut w = Writer::new();
+    w.put_u64(u64::MAX); // sentinel
+    w.put_u64(2); // version
+    w.put_u64(4); // n
+    w.put_u64(2); // max rank
+    vec![0u64, 1, 2, 3].encode(&mut w); // vertices
+    w.put_u64(1); // rounds
+    w.put_u8(0); // no block
+    w.put_u8(1); // shared flag
+    w.put_u64(0); // no listed levels
+    let frame = w.into_bytes();
+    let (res, largest) =
+        largest_alloc_during(|| <SpanningForestSketch as Codec>::decode(&mut Reader::new(&frame)));
+    let err = res.expect_err("flag without a block accepted");
+    assert!(err.message.contains("without a block"), "{err}");
+    assert!(largest < 1 << 20, "allocated {largest} bytes");
+}
+
+/// The update stream behind `tests/fixtures/pre_v2_snapshots`: every edge
+/// of K6 inserted, 10 deleted, 4 inserted again (32 updates).
+fn fixture_stream() -> Vec<Update> {
+    let pairs: Vec<(u32, u32)> = (0..6u32)
+        .flat_map(|u| ((u + 1)..6).map(move |v| (u, v)))
+        .collect();
+    let mut out: Vec<Update> = pairs
+        .iter()
+        .map(|&(u, v)| Update::insert(HyperEdge::pair(u, v)))
+        .collect();
+    for &(u, v) in pairs
+        .iter()
+        .step_by(2)
+        .chain(pairs.iter().skip(1).step_by(3))
+    {
+        out.push(Update::delete(HyperEdge::pair(u, v)));
+    }
+    for &(u, v) in pairs.iter().step_by(4) {
+        out.push(Update::insert(HyperEdge::pair(u, v)));
+    }
+    out
+}
+
+/// Copies a checked-in fixture directory tree into a fresh temp dir, so
+/// recovery never touches the repository's files.
+fn copy_fixture(name: &str) -> std::path::PathBuf {
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_dir(&entry.path(), &target);
+            } else {
+                std::fs::copy(entry.path(), target).unwrap();
+            }
+        }
+    }
+    let from = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let to = std::env::temp_dir().join(format!("dgs-fixture-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&to);
+    copy_dir(&from, &to);
+    to
+}
+
+/// Snapshots written before the sparse-cell codec (SoA v1 sparse-recovery
+/// frames, the original forest layout) still recover: the ladder starts
+/// from the newest snapshot, replays the WAL tail, and lands bit-identical
+/// to a fresh ingest of the same stream under the current codec.
+#[test]
+fn pre_v2_snapshot_directory_still_recovers_bit_identically() {
+    // n = 6, starved L0 parameters, seed 15, snapshots every 10 updates
+    // (only the newest, at offset 30, is kept), 8 records per WAL segment.
+    let space = EdgeSpace::graph(6).unwrap();
+    let params = ForestParams {
+        l0: L0Params {
+            sparsity: 2,
+            rows: 2,
+            level_independence: 2,
+        },
+        extra_rounds: 0,
+    };
+    let fresh_forest = || SpanningForestSketch::new_full(space.clone(), &SeedTree::new(15), params);
+    let stream = fixture_stream();
+    let dir = copy_fixture("pre_v2_snapshots");
+
+    let store = CheckpointStore::open(dir.join("snap-forest"), 15).unwrap();
+    let rec = RecoveryDriver::new(dir.join("wal"), store)
+        .recover(|_, _| fresh_forest())
+        .unwrap();
+    assert_eq!(
+        (rec.from_snapshot, rec.offset, rec.replayed),
+        (Some(30), 32, 2)
+    );
+    assert!(
+        rec.snapshot_defects.is_empty(),
+        "{:?}",
+        rec.snapshot_defects
+    );
+    let mut reference = fresh_forest();
+    for u in &stream {
+        reference.apply_update(u).unwrap();
+    }
+    assert_eq!(encoded(&rec.sketch), encoded(&reference));
+
+    let store = CheckpointStore::open(dir.join("snap-hybrid"), 15).unwrap();
+    let rec = RecoveryDriver::new(dir.join("wal"), store)
+        .recover(|_, _| HybridConnectivitySketch::new(fresh_forest(), HybridConfig::default()))
+        .unwrap();
+    assert_eq!(
+        (rec.from_snapshot, rec.offset, rec.replayed),
+        (Some(30), 32, 2)
+    );
+    assert!(
+        rec.snapshot_defects.is_empty(),
+        "{:?}",
+        rec.snapshot_defects
+    );
+    assert!(rec.sketch.is_resident());
+    let mut reference = HybridConnectivitySketch::new(fresh_forest(), HybridConfig::default());
+    for u in &stream {
+        reference.apply_update(u).unwrap();
+    }
+    assert_eq!(encoded(&rec.sketch), encoded(&reference));
+    let _ = std::fs::remove_dir_all(&dir);
 }
